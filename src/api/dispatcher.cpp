@@ -136,21 +136,8 @@ Dispatcher::Dispatcher(Options options)
   // One registry per stack: the service and both caches instrument the
   // same home the dispatcher exposes through the `metrics` op.
   options.service.metrics = metrics_;
-  owned_service_ =
+  service_ =
       std::make_unique<service::SolveService>(std::move(options.service));
-  owned_sessions_ = std::make_unique<service::SessionManager>();
-  service_ = owned_service_.get();
-  sessions_ = owned_sessions_.get();
-  init_instruments();
-}
-
-Dispatcher::Dispatcher(service::SolveService& service,
-                       service::SessionManager* sessions)
-    : metrics_(&service.metrics()), service_(&service), sessions_(sessions) {
-  if (!sessions_) {
-    owned_sessions_ = std::make_unique<service::SessionManager>();
-    sessions_ = owned_sessions_.get();
-  }
   init_instruments();
 }
 
@@ -185,7 +172,7 @@ void Dispatcher::refresh_gauges() const {
   metrics_->gauge("atcd_subtree_cache_bytes")
       .set(static_cast<double>(sc.bytes));
   metrics_->gauge("atcd_sessions_active")
-      .set(static_cast<double>(sessions_->size()));
+      .set(static_cast<double>(sessions_.size()));
   // Warm-restart health: size of the last snapshot image touched and
   // its age.  Both stay 0 until a save or load happens.
   const std::uint64_t snap_bytes =
@@ -231,7 +218,7 @@ StatsPayload Dispatcher::stats() const {
   StatsPayload s;
   s.cache = service_->cache().stats();
   s.subtree = service_->subtree_cache().stats();
-  s.sessions = sessions_->size();
+  s.sessions = sessions_.size();
   s.api = counters();
   s.latency.count = request_micros_->count();
   s.latency.sum_micros = request_micros_->sum();
@@ -356,14 +343,14 @@ struct OperationHandler {
     sopt.batch = d.service_->options().batch;
     sopt.shared = d.service_->shared_subtree_cache();
     sopt.metrics = d.metrics_;
-    const std::uint64_t id = d.sessions_->open(
+    const std::uint64_t id = d.sessions_.open(
         std::make_unique<service::Session>(r.spec.model, std::move(sopt)));
     return SessionOpenedPayload{id};
   }
 
   Payload operator()(const SessionEditRequest& r) {
     d.session_edits_->add(1);
-    const auto session = d.sessions_->find(r.session);
+    const auto session = d.sessions_.find(r.session);
     if (!session)
       raise(ErrorCode::NoSuchSession,
             "no session " + std::to_string(r.session));
@@ -388,7 +375,7 @@ struct OperationHandler {
   Payload operator()(const SessionResolveRequest& r) {
     d.session_resolves_->add(1);
     d.solves_->add(1);
-    const auto session = d.sessions_->find(r.session);
+    const auto session = d.sessions_.find(r.session);
     if (!session)
       raise(ErrorCode::NoSuchSession,
             "no session " + std::to_string(r.session));
@@ -400,7 +387,7 @@ struct OperationHandler {
 
   Payload operator()(const SessionCloseRequest& r) {
     d.session_closes_->add(1);
-    if (!d.sessions_->close(r.session))
+    if (!d.sessions_.close(r.session))
       raise(ErrorCode::NoSuchSession,
             "no session " + std::to_string(r.session));
     return SessionClosedPayload{};

@@ -42,8 +42,8 @@
 /// server, and the HTTP endpoint (src/net/) all run exactly the same
 /// serving code — same pipelining, same caps, same shutdown semantics.
 ///
-/// Blank lines and lines starting with '#' are skipped, so the same
-/// script files that drive the line protocol can carry JSON sessions.
+/// Blank lines and lines starting with '#' are skipped, so request
+/// scripts can carry comments.
 
 #include <cstddef>
 #include <iosfwd>
@@ -119,10 +119,17 @@ std::size_t serve_lines(LineTransport& t, Dispatcher& dispatcher,
 
 /// Serves JSON-envelope requests from \p in to \p out until EOF or
 /// `quit` — serve_lines over an IoStreamTransport.  Returns the number
-/// of solve/resolve/analyze requests handled (same accounting as the
-/// line-protocol serve()).
+/// of solve/resolve/analyze requests handled.
 std::size_t serve_json(std::istream& in, std::ostream& out,
                        Dispatcher& dispatcher,
                        const JsonServeOptions& options = {});
+
+namespace detail {
+
+/// Strips leading/trailing spaces, tabs, and CRs from an input line —
+/// shared by serve_lines and the router's connection loop.
+std::string trim(const std::string& s);
+
+}  // namespace detail
 
 }  // namespace atcd::api

@@ -78,6 +78,29 @@ Fd listen_tcp(const std::string& host, std::uint16_t port, int backlog,
   return fd;
 }
 
+bool parse_host_port(const std::string& spec, std::string* host,
+                     std::uint16_t* port, std::string* error) {
+  const std::size_t colon = spec.rfind(':');
+  if (colon == std::string::npos) {
+    *error = "'" + spec + "' is not host:port";
+    return false;
+  }
+  const std::string digits = spec.substr(colon + 1);
+  unsigned long value = 0;
+  bool ok = !digits.empty() && digits.size() <= 5;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') ok = false;
+    value = value * 10 + static_cast<unsigned long>(c - '0');
+  }
+  if (!ok || value > 65535) {
+    *error = "bad port '" + digits + "' in '" + spec + "' (want 0-65535)";
+    return false;
+  }
+  *host = spec.substr(0, colon);
+  *port = static_cast<std::uint16_t>(value);
+  return true;
+}
+
 Fd connect_tcp(const std::string& host, std::uint16_t port,
                std::string* error) {
   sockaddr_in addr;

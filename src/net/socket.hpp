@@ -58,6 +58,15 @@ Fd listen_tcp(const std::string& host, std::uint16_t port, int backlog,
 Fd connect_tcp(const std::string& host, std::uint16_t port,
                std::string* error);
 
+/// Splits a `host:port` command-line spec at its last ':'.  The port
+/// must be 1-5 decimal digits and at most 65535; 0 is accepted (an
+/// ephemeral bind for listen_tcp).  The host is checked later, by
+/// listen_tcp / connect_tcp.  Returns false and sets \p error on a
+/// missing ':' or an empty, non-numeric, trailing-garbage or
+/// out-of-range port.
+bool parse_host_port(const std::string& spec, std::string* host,
+                     std::uint16_t* port, std::string* error);
+
 /// The locally bound port of a socket (resolves ephemeral binds).
 std::uint16_t local_port(int fd);
 

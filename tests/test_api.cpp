@@ -1,9 +1,9 @@
 /// Tests for the versioned typed API facade (src/api/): the JSON wire
 /// codec (round-trip byte-stability, strict malformed-input handling),
-/// the legacy line-protocol transcoder, line/JSON behavioral parity
-/// through the shared dispatcher, pipelined out-of-order serving with
-/// request ids, the unified stats counters, the structured shutdown
-/// responses, and the CLI exit-code mapping.
+/// dispatch parity across the envelope round trip for every operation,
+/// pipelined out-of-order serving with request ids, the unified stats
+/// counters, the structured shutdown responses, and the CLI exit-code
+/// mapping.
 ///
 /// The round-trip property and the malformed tables scale with
 /// ATCD_FUZZ_ITERS (default 60; CI's nightly job raises it).
@@ -20,9 +20,7 @@
 
 #include "api/dispatcher.hpp"
 #include "api/json.hpp"
-#include "api/line.hpp"
 #include "api/server.hpp"
-#include "service/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace atcd {
@@ -45,13 +43,6 @@ const char* kProbModel =
     "bas a cost=1 damage=2 prob=0.5\n"
     "bas b cost=4 damage=1 prob=0.25\n"
     "or r = a, b damage=10\n";
-
-std::string trimmed(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return {};
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -374,66 +365,69 @@ TEST(JsonCodec, ResponseRoundTripIsByteStable) {
 }
 
 // ---------------------------------------------------------------------------
-// Line/JSON parity: every operation reachable over the legacy line
-// protocol round-trips through the v1 JSON envelope and produces the
-// identical solver result on a fresh dispatcher.
+// Envelope parity: every operation round-trips through the v1 JSON
+// envelope and produces the identical response on a fresh dispatcher.
 // ---------------------------------------------------------------------------
 
-/// Transcodes a full line-protocol script into typed requests (stopping
-/// at quit), exactly as serve() would.
-std::vector<Request> transcode_script(const std::string& script) {
-  std::istringstream in(script);
-  std::vector<Request> out;
-  std::string raw;
-  while (std::getline(in, raw)) {
-    std::string line = trimmed(raw);
-    if (const auto h = line.find('#'); h != std::string::npos)
-      line = trimmed(line.substr(0, h));
-    if (line.empty()) continue;
-    const LineRequest lr = read_line_request(line, in);
-    EXPECT_EQ(lr.code, ErrorCode::Ok) << line << ": " << lr.error;
-    if (lr.code != ErrorCode::Ok) continue;
-    if (std::holds_alternative<ShutdownRequest>(lr.request.op)) break;
-    out.push_back(lr.request);
-  }
-  return out;
-}
-
-TEST(Parity, EveryLineOpIsJsonReachableWithIdenticalResults) {
+TEST(Parity, EveryOpRoundTripsTheEnvelopeWithIdenticalResults) {
   const std::string model = kDetModel;
-  const std::string prob_model = kProbModel;
-  std::string script;
-  script += "solve cdpf\n" + model + "end\n";
-  script += "solve dgc bound=2 engine=enumerative\n" + model + "end\n";
-  script += "solve cedpf\n" + prob_model + "end\n";
-  script += "open dgc bound=5\n" + model + "end\n";
-  script += "edit 1 set-cost a 3\n";
-  script += "edit 1 toggle-defense b\n";
-  script += "resolve 1\n";
-  script += "edit 1 replace-subtree b\nbas b2 cost=2 damage=4\nend\n";
-  script += "resolve 1\n";
-  script += "close 1\n";
-  script += "analyze sweep dgc axis=cost:a:1:3:3 bound=5\n" + model + "end\n";
-  script += "analyze sensitivity cdpf step=0.1\n" + model + "end\n";
-  script +=
-      "analyze portfolio dgc defense=cam:1:a defense=lock:2:b budget=3 "
-      "bound=5\n" +
-      model + "end\n";
-  script += "stats\n";
-  script += "quit\n";
+  std::vector<Request> reqs;
+  const auto add = [&](Operation op) {
+    Request r;
+    r.op = std::move(op);
+    reqs.push_back(std::move(r));
+  };
+  add(SolveRequest{{engine::Problem::Cdpf, 0.0, false, "", model}});
+  add(SolveRequest{{engine::Problem::Dgc, 2.0, true, "enumerative", model}});
+  add(SolveRequest{{engine::Problem::Cedpf, 0.0, false, "", kProbModel}});
+  add(SessionOpenRequest{{engine::Problem::Dgc, 5.0, true, "", model}});
+  add(SessionEditRequest{1, EditOp::SetCost, "a", 3.0, ""});
+  add(SessionEditRequest{1, EditOp::ToggleDefense, "b", 0.0, ""});
+  add(SessionResolveRequest{1});
+  add(SessionEditRequest{1, EditOp::ReplaceSubtree, "b", 0.0,
+                         "bas b2 cost=2 damage=4\n"});
+  add(SessionResolveRequest{1});
+  add(SessionCloseRequest{1});
+  {
+    AnalyzeSweepRequest a;
+    a.problem = engine::Problem::Dgc;
+    a.axes = {"cost:a:1:3:3"};
+    a.bound = 5.0;
+    a.has_bound = true;
+    a.model = model;
+    add(std::move(a));
+  }
+  {
+    AnalyzeSensitivityRequest a;
+    a.problem = engine::Problem::Cdpf;
+    a.step = 0.1;
+    a.has_step = true;
+    a.model = model;
+    add(std::move(a));
+  }
+  {
+    AnalyzePortfolioRequest a;
+    a.problem = engine::Problem::Dgc;
+    a.defenses = {"cam:1:a", "lock:2:b"};
+    a.budget = 3.0;
+    a.has_budget = true;
+    a.bound = 5.0;
+    a.has_bound = true;
+    a.model = model;
+    add(std::move(a));
+  }
+  add(StatsRequest{});
+  ASSERT_EQ(reqs.size(), 14u);
 
-  const std::vector<Request> line_reqs = transcode_script(script);
-  ASSERT_EQ(line_reqs.size(), 14u);
-
-  // Side A dispatches the line-transcoded requests; side B first pushes
+  // Side A dispatches the typed requests directly; side B first pushes
   // each request through the JSON envelope (encode -> decode) and then
   // dispatches on its own fresh dispatcher.  Byte-identical responses
   // (timing excluded) prove the envelope loses nothing.
-  Dispatcher line_side;
+  Dispatcher direct_side;
   Dispatcher json_side;
-  for (std::size_t i = 0; i < line_reqs.size(); ++i) {
-    const Response a = line_side.dispatch(line_reqs[i]);
-    const Decoded<Request> dec = decode_request(encode_request(line_reqs[i]));
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const Response a = direct_side.dispatch(reqs[i]);
+    const Decoded<Request> dec = decode_request(encode_request(reqs[i]));
     ASSERT_EQ(dec.code, ErrorCode::Ok) << dec.error;
     const Response b = json_side.dispatch(dec.value);
     EXPECT_EQ(encode_response(a, false), encode_response(b, false))
@@ -443,7 +437,7 @@ TEST(Parity, EveryLineOpIsJsonReachableWithIdenticalResults) {
 
   // Spot-check substance: the first request really produced a front.
   Dispatcher fresh;
-  const Response front = fresh.dispatch(line_reqs[0]);
+  const Response front = fresh.dispatch(reqs[0]);
   ASSERT_TRUE(std::holds_alternative<SolvePayload>(front.payload));
   EXPECT_GT(std::get<SolvePayload>(front.payload).points.size(), 1u);
 }
@@ -609,6 +603,30 @@ TEST(Malformed, JsonServeAnswersEveryLineAndKeepsGoing) {
   bad_decor.op = SolveRequest{
       {engine::Problem::Cdpf, 0.0, false, "", "bas a cost=-1 damage=2\n"}};
   script += encode_request(bad_decor) + "\n";
+  // Analysis arguments the dispatcher rejects: a bad sweep axis and a
+  // portfolio over a problem without a budget.
+  Request bad_axis;
+  bad_axis.id = "axis";
+  {
+    AnalyzeSweepRequest a;
+    a.problem = engine::Problem::Dgc;
+    a.axes = {"zzz"};
+    a.bound = 1.0;
+    a.has_bound = true;
+    a.model = "bas a cost=1 damage=1\n";
+    bad_axis.op = std::move(a);
+  }
+  script += encode_request(bad_axis) + "\n";
+  Request bad_portfolio;
+  bad_portfolio.id = "pf";
+  {
+    AnalyzePortfolioRequest a;
+    a.problem = engine::Problem::Cdpf;
+    a.defenses = {"cam:1:a"};
+    a.model = "bas a cost=1 damage=1\n";
+    bad_portfolio.op = std::move(a);
+  }
+  script += encode_request(bad_portfolio) + "\n";
   script += "{\"v\":1,\"id\":\"q\",\"op\":\"quit\"}\n";
 
   std::istringstream in(script);
@@ -617,67 +635,30 @@ TEST(Malformed, JsonServeAnswersEveryLineAndKeepsGoing) {
   EXPECT_EQ(handled, 3u);  // the three dispatched solves
 
   const std::vector<std::string> lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 8u);  // one response per input line + shutdown
+  ASSERT_EQ(lines.size(), 10u);  // one response per input line + shutdown
   std::map<std::string, ErrorCode> by_id;
+  std::map<std::string, std::string> error_by_id;
   for (const std::string& line : lines) {
     const Decoded<Response> dec = decode_response(line);
     ASSERT_EQ(dec.code, ErrorCode::Ok) << line;
     by_id[dec.value.id] = dec.value.code;
+    error_by_id[dec.value.id] = dec.value.error;
   }
   EXPECT_EQ(by_id["bad"], ErrorCode::UnknownOperation);
   EXPECT_EQ(by_id["ver"], ErrorCode::UnsupportedVersion);
   EXPECT_EQ(by_id["ok1"], ErrorCode::Ok);
   EXPECT_EQ(by_id["pe"], ErrorCode::ParseError);
   EXPECT_EQ(by_id["me"], ErrorCode::ModelError);
+  EXPECT_EQ(by_id["axis"], ErrorCode::InvalidArgument);
+  EXPECT_NE(error_by_id["axis"].find("bad axis"), std::string::npos);
+  EXPECT_EQ(by_id["pf"], ErrorCode::InvalidArgument);
+  EXPECT_EQ(error_by_id["pf"], "analyze portfolio takes dgc or edgc");
   EXPECT_EQ(by_id["q"], ErrorCode::Ok);  // the shutdown response
   // The last line is the structured shutdown echoing the quit id.
   const Decoded<Response> last = decode_response(lines.back());
   ASSERT_TRUE(std::holds_alternative<ShutdownPayload>(last.value.payload));
   EXPECT_EQ(last.value.id, "q");
   EXPECT_EQ(std::get<ShutdownPayload>(last.value.payload).handled, 3u);
-}
-
-TEST(Malformed, LineServeAnswersEveryRequestAndKeepsGoing) {
-  service::SolveService svc;
-  std::istringstream in(
-      "frobnicate\n"
-      "solve\n"
-      "bas a cost=1\n"
-      "end\n"
-      "solve dgc bound=abc\n"
-      "bas a cost=1\n"
-      "end\n"
-      "edit nonsense\n"
-      "resolve xyz\n"
-      "analyze sweep dgc axis=zzz bound=1\n"
-      "bas a cost=1 damage=1\n"
-      "end\n"
-      "analyze portfolio cdpf defense=cam:1:a\n"
-      "bas a cost=1 damage=1\n"
-      "end\n"
-      "solve cdpf\n"  // still alive after all of the above
-      "bas a cost=1 damage=2\n"
-      "end\n"
-      "quit\n");
-  std::ostringstream out;
-  const std::size_t handled = service::serve(in, out, svc);
-  EXPECT_EQ(handled, 1u);
-  const std::string o = out.str();
-  EXPECT_NE(o.find("unknown command 'frobnicate'"), std::string::npos);
-  EXPECT_NE(o.find("requires a problem name"), std::string::npos);
-  EXPECT_NE(o.find("bad bound 'bound=abc'"), std::string::npos);
-  EXPECT_NE(o.find("edit takes: <session-id> <op> ..."), std::string::npos);
-  EXPECT_NE(o.find("resolve takes: <session-id>"), std::string::npos);
-  EXPECT_NE(o.find("bad axis"), std::string::npos);
-  EXPECT_NE(o.find("analyze portfolio takes dgc or edgc"),
-            std::string::npos);
-  EXPECT_NE(o.find("kind=front"), std::string::npos);
-  EXPECT_NE(o.find("kind=shutdown\nhandled=1\n"), std::string::npos);
-  std::size_t dones = 0;
-  for (auto pos = o.find("done\n"); pos != std::string::npos;
-       pos = o.find("done\n", pos + 1))
-    ++dones;
-  EXPECT_EQ(dones, 9u);  // 7 errors + 1 solve + shutdown
 }
 
 // ---------------------------------------------------------------------------
@@ -843,7 +824,7 @@ TEST(Stats, DispatcherCountersCoverEveryPath) {
   // (the old protocol bypassed them entirely).
   EXPECT_GT(s.cache.insertions, 1u);
 
-  // The same numbers surface over both wire formats.
+  // The same numbers surface over the wire.
   r.op = StatsRequest{};
   const Response resp = d.dispatch(r);
   const std::string json_line = encode_response(resp, false);
@@ -852,48 +833,32 @@ TEST(Stats, DispatcherCountersCoverEveryPath) {
   const auto& p = std::get<StatsPayload>(dec.value.payload);
   EXPECT_EQ(p.api.requests, 8u);  // + the stats request itself
   EXPECT_EQ(p.api.analyses, 1u);
-  const std::string line_block = format_line(resp);
-  EXPECT_NE(line_block.find("api_requests=8\n"), std::string::npos)
-      << line_block;
-  EXPECT_NE(line_block.find("api_analyses=1\n"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Structured shutdown in both modes, on quit and on EOF.
+// Structured shutdown, on quit and on EOF.
 // ---------------------------------------------------------------------------
 
-TEST(Shutdown, LineModeAnswersOnEofAndQuit) {
+TEST(Shutdown, JsonModeAnswersOnEofAndQuit) {
   for (const bool with_quit : {false, true}) {
-    service::SolveService svc;
-    std::string script = "solve cdpf\n";
-    script += kDetModel;
-    script += "end\n";
-    if (with_quit) script += "quit\n";
+    Dispatcher d;
+    Request r;
+    r.id = "x";
+    r.op = SolveRequest{{engine::Problem::Cdpf, 0.0, false, "", kDetModel}};
+    std::string script = encode_request(r) + "\n";
+    if (with_quit) script += "{\"v\":1,\"id\":\"bye\",\"op\":\"quit\"}\n";
     std::istringstream in(script);
     std::ostringstream out;
-    const std::size_t handled = service::serve(in, out, svc);
-    EXPECT_EQ(handled, 1u);
-    EXPECT_NE(out.str().find("ok=true\nkind=shutdown\nhandled=1\ndone\n"),
-              std::string::npos)
-        << out.str();
+    EXPECT_EQ(serve_json(in, out, d), 1u);
+    const std::vector<std::string> lines = lines_of(out.str());
+    ASSERT_EQ(lines.size(), 2u);
+    const Decoded<Response> last = decode_response(lines.back());
+    ASSERT_EQ(last.code, ErrorCode::Ok);
+    // The quit id is echoed; EOF has no request id to echo.
+    EXPECT_EQ(last.value.id, with_quit ? "bye" : "");
+    ASSERT_TRUE(std::holds_alternative<ShutdownPayload>(last.value.payload));
+    EXPECT_EQ(std::get<ShutdownPayload>(last.value.payload).handled, 1u);
   }
-}
-
-TEST(Shutdown, JsonModeAnswersOnEof) {
-  Dispatcher d;
-  Request r;
-  r.id = "x";
-  r.op = SolveRequest{{engine::Problem::Cdpf, 0.0, false, "", kDetModel}};
-  std::istringstream in(encode_request(r) + "\n");  // no quit: EOF ends it
-  std::ostringstream out;
-  serve_json(in, out, d);
-  const std::vector<std::string> lines = lines_of(out.str());
-  ASSERT_EQ(lines.size(), 2u);
-  const Decoded<Response> last = decode_response(lines.back());
-  ASSERT_EQ(last.code, ErrorCode::Ok);
-  EXPECT_TRUE(last.value.id.empty());  // EOF has no request id to echo
-  ASSERT_TRUE(std::holds_alternative<ShutdownPayload>(last.value.payload));
-  EXPECT_EQ(std::get<ShutdownPayload>(last.value.payload).handled, 1u);
 }
 
 // ---------------------------------------------------------------------------

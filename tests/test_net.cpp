@@ -4,7 +4,7 @@
 /// connection caps, malformed and truncated HTTP/JSON frames answered
 /// with typed errors (never a crash), and SIGTERM/SIGINT graceful
 /// drain delivering the structured shutdown response as the final line
-/// of every open connection.
+/// of every open connection, and strict host:port parsing.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "api/server.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 
 namespace atcd {
 namespace {
@@ -112,6 +113,41 @@ net::Client connect_to(const net::Server& server) {
 // ---------------------------------------------------------------------------
 // JSON-lines over TCP.
 // ---------------------------------------------------------------------------
+
+TEST(NetAddress, HostPortSpecsParseStrictly) {
+  std::string host;
+  std::uint16_t port = 1;
+  std::string err;
+  const auto parse = [&](const char* spec) {
+    err.clear();
+    return net::parse_host_port(spec, &host, &port, &err);
+  };
+  ASSERT_TRUE(parse("127.0.0.1:4464")) << err;
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 4464);
+  ASSERT_TRUE(parse("localhost:65535")) << err;
+  EXPECT_EQ(host, "localhost");
+  EXPECT_EQ(port, 65535);
+  // Port 0 is an ephemeral bind for --listen.
+  ASSERT_TRUE(parse("127.0.0.1:0")) << err;
+  EXPECT_EQ(port, 0);
+  // The split is at the last ':'.
+  ASSERT_TRUE(parse("a:b:7")) << err;
+  EXPECT_EQ(host, "a:b");
+  EXPECT_EQ(port, 7);
+
+  for (const char* bad :
+       {"127.0.0.1", "127.0.0.1:", "127.0.0.1:abc", "127.0.0.1:80x",
+        "127.0.0.1: 80", "127.0.0.1:-1", "127.0.0.1:+80", "127.0.0.1:65536",
+        "127.0.0.1:70000", "127.0.0.1:000080"}) {
+    host = "unchanged";
+    port = 1;
+    EXPECT_FALSE(parse(bad)) << bad;
+    EXPECT_FALSE(err.empty()) << bad;
+    EXPECT_EQ(host, "unchanged") << bad;
+    EXPECT_EQ(port, 1) << bad;
+  }
+}
 
 TEST(NetServe, LockstepParityWithStdinTransport) {
   // The same script through a socket and through serve_json on a twin

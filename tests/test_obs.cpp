@@ -19,11 +19,9 @@
 
 #include "api/dispatcher.hpp"
 #include "api/json.hpp"
-#include "api/line.hpp"
 #include "api/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "service/protocol.hpp"
 
 namespace atcd {
 namespace {
@@ -323,7 +321,10 @@ TEST(Trace, TracingNeverChangesSolveResults) {
 TEST(Trace, UntracedResponsesAreByteIdenticalAcrossThreadCounts) {
   // The same pipelined workload on 1 and 4 worker threads; with tracing
   // off, the response bytes (sorted by id) must not depend on threading
-  // or on anything the instruments recorded.
+  // or on anything the instruments recorded.  Each side solves the model
+  // once before serving, so all six requests are deterministic cache
+  // hits: cold, which of six identical concurrent requests reads "miss"
+  // rather than "hit" or "coalesced" depends on scheduling.
   std::string script;
   for (int i = 0; i < 6; ++i) {
     Request req = solve_request();
@@ -333,11 +334,13 @@ TEST(Trace, UntracedResponsesAreByteIdenticalAcrossThreadCounts) {
   std::vector<std::vector<std::string>> outputs;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     Dispatcher d;
+    ASSERT_EQ(d.dispatch(solve_request()).code, ErrorCode::Ok);
     std::istringstream in(script);
     std::ostringstream out;
     JsonServeOptions opt;
     opt.threads = threads;
     serve_json(in, out, d, opt);
+    EXPECT_EQ(out.str().find("\"cache\":\"miss\""), std::string::npos);
     std::istringstream lines(out.str());
     std::vector<std::string> sorted;
     std::string line;
@@ -383,15 +386,16 @@ TEST(MetricsOp, ExposesCoreInstrumentsOnEveryTransport) {
   ASSERT_EQ(dec.code, ErrorCode::Ok) << dec.error;
   EXPECT_EQ(encode_response(dec.value, false), once);
 
-  // Line transport: `metrics` renders the Prometheus text as rows,
-  // `metrics --json` renders the registry JSON as one json= line.
-  std::istringstream lin("metrics\nmetrics --json\nquit\n");
-  std::ostringstream lout;
-  service::serve(lin, lout, d);
-  EXPECT_NE(lout.str().find("ok=true\nkind=metrics\n"), std::string::npos);
-  EXPECT_NE(lout.str().find("=# TYPE atcd_api_requests_total counter\n"),
-            std::string::npos);
-  EXPECT_NE(lout.str().find("ok=true\njson={\"counters\":"),
+  // Served over JSON-lines: the registry JSON embeds as the "metrics"
+  // object and the Prometheus text travels as "text".
+  std::istringstream in("{\"v\":1,\"id\":\"m\",\"op\":\"metrics\"}\n");
+  std::ostringstream out;
+  serve_json(in, out, d);
+  EXPECT_NE(out.str().find("\"id\":\"m\",\"code\":\"ok\",\"kind\":\"metrics\","
+                           "\"metrics\":{\"counters\":"),
+            std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("# TYPE atcd_api_requests_total counter\\n"),
             std::string::npos);
 }
 
@@ -430,12 +434,6 @@ TEST(StatsLatency, DigestCoversEveryDispatchedRequest) {
   EXPECT_EQ(encode_response(resp, false).find("latency"),
             std::string::npos);
   EXPECT_NE(encode_response(resp, true).find("\"latency\":{\"count\":3"),
-            std::string::npos);
-
-  // The line renderings always carry the digest (line stats blocks are
-  // not byte-pinned across runs).
-  EXPECT_NE(format_line(resp).find("latency_count=3\n"), std::string::npos);
-  EXPECT_NE(format_stats_json_line(s).find("\"latency\":{\"count\":3"),
             std::string::npos);
 }
 

@@ -1,18 +1,21 @@
 /// Tests for service/session.hpp: edit semantics, the incremental
 /// re-solve fast path, the incremental-vs-scratch equivalence property
-/// over random edit scripts, and session concurrency (run under tsan in
-/// CI).
+/// over random edit scripts, session concurrency (run under tsan in
+/// CI), and a full session driven over the JSON-lines wire.
 
 #include "service/session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <thread>
 
+#include "api/dispatcher.hpp"
+#include "api/json.hpp"
+#include "api/server.hpp"
 #include "helpers.hpp"
-#include "service/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace atcd {
@@ -446,47 +449,88 @@ TEST(Session, ConcurrentSessionsShareTheSubtreeCacheSafely) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol: open / edit / resolve / close round trip.
+// Wire round trip: open / edit / resolve / close as one JSON-lines script.
 // ---------------------------------------------------------------------------
 
-TEST(Session, ProtocolSessionRoundTrip) {
-  service::SolveService svc;
-  std::istringstream in(
-      "open cdpf\n" +
-      std::string(kModel) +
-      "end\n"
-      "resolve 1\n"
-      "edit 1 set-cost pick 6\n"
-      "resolve 1\n"
-      "edit 1 replace-subtree break\n"
-      "bas jimmy cost=1 damage=7\n"
-      "end\n"
-      "resolve 1\n"
-      "edit 1 toggle-defense jimmy\n"
-      "resolve 1\n"
-      "stats\n"
-      "edit 99 set-cost pick 1\n"   // unknown session
-      "edit 1 set-cost nope 1\n"    // unknown BAS
-      "edit replace-subtree open\n" // missing sid: block must be consumed
-      "bas stray cost=1\n"
-      "end\n"
-      "close 1\n"
-      "resolve 1\n"                 // closed
-      "quit\n");
+TEST(Session, JsonSessionRoundTrip) {
+  const auto wire = [](const std::string& id, api::Operation op) {
+    api::Request r;
+    r.id = id;
+    r.op = std::move(op);
+    return api::encode_request(r) + "\n";
+  };
+  std::string script = wire(
+      "open", api::SessionOpenRequest{{Problem::Cdpf, 0.0, false, "", kModel}});
+  script += wire("r1", api::SessionResolveRequest{1});
+  script += wire("e1", api::SessionEditRequest{1, api::EditOp::SetCost, "pick",
+                                               6.0, ""});
+  script += wire("r2", api::SessionResolveRequest{1});
+  script += wire("e2", api::SessionEditRequest{
+                           1, api::EditOp::ReplaceSubtree, "break", 0.0,
+                           "bas jimmy cost=1 damage=7\n"});
+  script += wire("r3", api::SessionResolveRequest{1});
+  script += wire("e3", api::SessionEditRequest{
+                           1, api::EditOp::ToggleDefense, "jimmy", 0.0, ""});
+  script += wire("r4", api::SessionResolveRequest{1});
+  script += wire("stats", api::StatsRequest{});
+  script += wire("unknown-sid", api::SessionEditRequest{
+                                    99, api::EditOp::SetCost, "pick", 1.0, ""});
+  script += wire("unknown-bas", api::SessionEditRequest{
+                                    1, api::EditOp::SetCost, "nope", 1.0, ""});
+  // An edit without a session id is a typed envelope error; the next
+  // request is still answered.
+  script +=
+      "{\"v\":1,\"id\":\"no-sid\",\"op\":\"edit\",\"edit\":"
+      "\"replace-subtree\",\"target\":\"open\",\"model\":"
+      "\"bas stray cost=1\\n\"}\n";
+  script += wire("close", api::SessionCloseRequest{1});
+  script += wire("closed", api::SessionResolveRequest{1});
+  script += wire("quit", api::ShutdownRequest{});
+
+  api::Dispatcher d;
+  std::istringstream in(script);
   std::ostringstream out;
-  const std::size_t handled = service::serve(in, out, svc);
-  EXPECT_EQ(handled, 4u);  // four resolves counted
-  const std::string o = out.str();
-  EXPECT_NE(o.find("session=1\n"), std::string::npos);
-  EXPECT_NE(o.find("kind=front"), std::string::npos);
-  EXPECT_NE(o.find("subtree_hits="), std::string::npos);
-  EXPECT_NE(o.find("sessions=1\n"), std::string::npos);
-  EXPECT_NE(o.find("error=no session 99"), std::string::npos);
-  EXPECT_NE(o.find("error=set-cost: no BAS named 'nope'"), std::string::npos);
-  EXPECT_NE(o.find("error=no session 1"), std::string::npos);
-  // The malformed edit's model block was consumed, not re-parsed as
-  // commands — the stream never desyncs.
-  EXPECT_EQ(o.find("unknown command"), std::string::npos) << o;
+  EXPECT_EQ(api::serve_json(in, out, d), 4u);  // four resolves counted
+
+  std::map<std::string, api::Response> by_id;
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    const api::Decoded<api::Response> dec = api::decode_response(line);
+    ASSERT_EQ(dec.code, api::ErrorCode::Ok) << line;
+    by_id[dec.value.id] = dec.value;
+  }
+  ASSERT_EQ(by_id.size(), 15u) << out.str();  // one response per request
+
+  ASSERT_TRUE(std::holds_alternative<api::SessionOpenedPayload>(
+      by_id["open"].payload));
+  EXPECT_EQ(std::get<api::SessionOpenedPayload>(by_id["open"].payload).session,
+            1u);
+  for (const char* id : {"e1", "e2", "e3", "close"})
+    EXPECT_EQ(by_id[id].code, api::ErrorCode::Ok) << id << by_id[id].error;
+  for (const char* id : {"r1", "r2", "r3", "r4"}) {
+    ASSERT_EQ(by_id[id].code, api::ErrorCode::Ok) << id << by_id[id].error;
+    ASSERT_TRUE(std::holds_alternative<api::SolvePayload>(by_id[id].payload));
+    EXPECT_TRUE(std::get<api::SolvePayload>(by_id[id].payload).is_front);
+  }
+  // The stats response carries the subtree-cache counters and the open
+  // session.
+  ASSERT_TRUE(
+      std::holds_alternative<api::StatsPayload>(by_id["stats"].payload));
+  EXPECT_EQ(std::get<api::StatsPayload>(by_id["stats"].payload).sessions, 1u);
+  EXPECT_NE(out.str().find("\"subtree\":{\"hits\":"), std::string::npos);
+
+  EXPECT_EQ(by_id["unknown-sid"].code, api::ErrorCode::NoSuchSession);
+  EXPECT_EQ(by_id["unknown-sid"].error, "no session 99");
+  EXPECT_EQ(by_id["unknown-bas"].code, api::ErrorCode::InvalidArgument);
+  EXPECT_EQ(by_id["unknown-bas"].error, "set-cost: no BAS named 'nope'");
+  EXPECT_EQ(by_id["no-sid"].code, api::ErrorCode::InvalidArgument);
+  EXPECT_EQ(by_id["closed"].code, api::ErrorCode::NoSuchSession);
+  EXPECT_EQ(by_id["closed"].error, "no session 1");
+  ASSERT_TRUE(
+      std::holds_alternative<api::ShutdownPayload>(by_id["quit"].payload));
+  EXPECT_EQ(std::get<api::ShutdownPayload>(by_id["quit"].payload).handled,
+            4u);
 }
 
 }  // namespace
