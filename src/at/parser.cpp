@@ -1,20 +1,29 @@
 #include "at/parser.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
-#include <unordered_map>
+#include <string_view>
 
 namespace atcd {
 namespace {
 
+/// std::isalnum's set in the C locale, spelled out: the library never
+/// switches locale, and a ctype call per character is a measurable share
+/// of a warm parse.
 bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-         c == '.';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.';
 }
 
+/// Tokenizer over one comment-stripped line; every token is a view into
+/// the caller's text.
 struct Cursor {
-  const std::string& s;
+  std::string_view s;
   std::size_t pos = 0;
   int line;
 
@@ -28,19 +37,34 @@ struct Cursor {
   [[noreturn]] void fail(const std::string& msg) const {
     throw ParseError("line " + std::to_string(line) + ": " + msg);
   }
-  std::string name() {
+  std::string_view name() {
     skip_ws();
     std::size_t start = pos;
     while (pos < s.size() && is_name_char(s[pos])) ++pos;
     if (pos == start) fail("expected a name");
     return s.substr(start, pos - start);
   }
+  /// The number grammar is std::stod's (strtod in the C locale).
+  /// from_chars accepts exactly strtod's plain decimal spellings and
+  /// rounds the same way, so a finite result clear of the underflow
+  /// range is taken from it directly.  Everything else — a leading '+'
+  /// or whitespace other than ' '/'\t', 0x hex (from_chars reads only
+  /// its "0"), inf/nan, zero, subnormal and out-of-range values — goes
+  /// through std::stod, so accepted spellings, values and errors stay
+  /// exactly stod's.
   double number() {
     skip_ws();
-    std::size_t consumed = 0;
+    const char* first = s.data() + pos;
     double v = 0;
+    const auto [end, ec] = std::from_chars(first, s.data() + s.size(), v);
+    if (ec == std::errc() && std::isfinite(v) &&
+        std::fabs(v) > std::numeric_limits<double>::min()) {
+      pos += static_cast<std::size_t>(end - first);
+      return v;
+    }
+    std::size_t consumed = 0;
     try {
-      v = std::stod(s.substr(pos), &consumed);
+      v = std::stod(std::string(s.substr(pos)), &consumed);
     } catch (const std::exception&) {
       fail("expected a number");
     }
@@ -67,7 +91,7 @@ struct Attrs {
 Attrs parse_attrs(Cursor& cur) {
   Attrs a;
   while (!cur.eof()) {
-    const std::string key = cur.name();
+    const std::string_view key = cur.name();
     cur.expect('=');
     const double v = cur.number();
     if (key == "cost")
@@ -77,30 +101,65 @@ Attrs parse_attrs(Cursor& cur) {
     else if (key == "prob")
       a.prob = v;
     else
-      cur.fail("unknown attribute '" + key + "'");
+      cur.fail("unknown attribute '" + std::string(key) + "'");
   }
   return a;
 }
+
+/// Open-addressing name -> NodeId index; keys are views into the text.
+/// Sized for at most \p n names at load <= 1/2, so probes stay short and
+/// a lookup never allocates.
+class NameIndex {
+ public:
+  explicit NameIndex(std::size_t n)
+      : keys_(std::bit_ceil(2 * n + 1)), ids_(keys_.size(), kNoNode) {}
+
+  /// The id stored for \p name, or kNoNode.
+  NodeId find(std::string_view name) const { return ids_[slot(name)]; }
+  void insert(std::string_view name, NodeId id) {
+    const std::size_t i = slot(name);
+    keys_[i] = name;
+    ids_[i] = id;
+  }
+
+ private:
+  std::size_t slot(std::string_view name) const {
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t i = std::hash<std::string_view>{}(name) & mask;
+    while (ids_[i] != kNoNode && keys_[i] != name) i = (i + 1) & mask;
+    return i;
+  }
+
+  std::vector<std::string_view> keys_;
+  std::vector<NodeId> ids_;
+};
 
 }  // namespace
 
 ParsedModel parse_model(const std::string& text) {
   ParsedModel m;
-  std::unordered_map<std::string, NodeId> by_name;
-  std::unordered_map<NodeId, double> node_damage;
-  std::string root_name;
+  const std::size_t lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+  // Names are views into `text`, which outlives the parse.
+  NameIndex by_name(lines);
+  m.damage.reserve(lines);  // one entry per node, in NodeId order
+  std::string_view root_name;
   bool have_root = false;
 
-  std::istringstream in(text);
-  std::string raw;
+  // Line splitting matches std::getline: '\n' terminates a line, and a
+  // final line without one is still a line.
+  std::string_view rest(text);
   int lineno = 0;
-  while (std::getline(in, raw)) {
+  while (!rest.empty()) {
+    const std::size_t nl = rest.find('\n');
+    std::string_view raw = rest.substr(0, nl);
+    rest = nl == std::string_view::npos ? std::string_view()
+                                        : rest.substr(nl + 1);
     ++lineno;
-    // Strip comment.
-    if (const auto h = raw.find('#'); h != std::string::npos) raw.erase(h);
+    raw = raw.substr(0, raw.find('#'));  // strip comment
     Cursor cur{raw, 0, lineno};
     if (cur.eof()) continue;
-    const std::string kw = cur.name();
+    const std::string_view kw = cur.name();
 
     if (kw == "root") {
       root_name = cur.name();
@@ -110,50 +169,50 @@ ParsedModel parse_model(const std::string& text) {
     }
 
     if (kw == "bas") {
-      const std::string name = cur.name();
+      const std::string_view name = cur.name();
       const Attrs a = parse_attrs(cur);
-      const NodeId id = m.tree.add_bas(name);
-      by_name[name] = id;
+      const NodeId id = m.tree.add_bas(std::string(name));
+      by_name.insert(name, id);
       m.cost.push_back(a.cost);
       if (a.prob < 0.0 || a.prob > 1.0)
         cur.fail("prob must lie in [0,1]");
       m.prob.push_back(a.prob);
-      node_damage[id] = a.damage;
+      m.damage.push_back(a.damage);
       continue;
     }
 
     if (kw == "or" || kw == "and") {
-      const std::string name = cur.name();
+      const std::string_view name = cur.name();
       cur.expect('=');
       std::vector<NodeId> children;
       do {
-        const std::string cname = cur.name();
-        const auto it = by_name.find(cname);
-        if (it == by_name.end())
-          cur.fail("child '" + cname + "' not defined before use");
-        children.push_back(it->second);
+        const std::string_view cname = cur.name();
+        const NodeId child = by_name.find(cname);
+        if (child == kNoNode)
+          cur.fail("child '" + std::string(cname) + "' not defined before use");
+        children.push_back(child);
       } while (cur.accept(','));
       // Remaining tokens are attributes.
       const Attrs a = parse_attrs(cur);
-      const NodeId id = m.tree.add_gate(
-          kw == "or" ? NodeType::OR : NodeType::AND, name, std::move(children));
-      by_name[name] = id;
-      node_damage[id] = a.damage;
+      const NodeId id =
+          m.tree.add_gate(kw == "or" ? NodeType::OR : NodeType::AND,
+                          std::string(name), std::move(children));
+      by_name.insert(name, id);
+      m.damage.push_back(a.damage);
       continue;
     }
 
-    cur.fail("unknown statement '" + kw + "'");
+    cur.fail("unknown statement '" + std::string(kw) + "'");
   }
 
   if (have_root) {
-    const auto it = by_name.find(root_name);
-    if (it == by_name.end())
-      throw ParseError("root '" + root_name + "' was never defined");
-    m.tree.set_root(it->second);
+    const NodeId root = by_name.find(root_name);
+    if (root == kNoNode)
+      throw ParseError("root '" + std::string(root_name) +
+                       "' was never defined");
+    m.tree.set_root(root);
   }
   m.tree.finalize();
-  m.damage.assign(m.tree.node_count(), 0.0);
-  for (const auto& [id, d] : node_damage) m.damage[id] = d;
   return m;
 }
 

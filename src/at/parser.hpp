@@ -9,10 +9,12 @@
 ///   and  <name> = <child> , <child> , ...   [damage=<num>]
 ///   root <name>
 ///
-/// Names may contain letters, digits, '_', '-', '.'.  Children must be
-/// defined before they are referenced (this guarantees acyclicity at parse
-/// time).  `root` is optional when exactly one node is parentless.
-/// Defaults: cost=0, damage=0, prob=1.
+/// Names may contain ASCII letters, digits, '_', '-', '.'.  Children must
+/// be defined before they are referenced (this guarantees acyclicity at
+/// parse time).  `root` is optional when exactly one node is parentless.
+/// Defaults: cost=0, damage=0, prob=1.  Numbers follow std::stod in the C
+/// locale ('+', 0x hex, inf and nan are read; overflow and subnormal
+/// values are errors); README.md's "Model format" pins the details.
 ///
 /// The parser is decoration-agnostic glue: it returns the bare AttackTree
 /// plus decoration vectors; core/cdat.hpp assembles them into CdAt/CdpAt.

@@ -14,10 +14,16 @@ void validate_common(const AttackTree& t, const std::vector<double>& cost,
     throw ModelError("cd-AT: cost vector size != number of BASs");
   if (damage.size() != t.node_count())
     throw ModelError("cd-AT: damage vector size != number of nodes");
-  for (double c : cost)
+  // Engines and the wire format need finite values: an infinite
+  // decoration would come back as JSON null.
+  for (double c : cost) {
     if (!(c >= 0.0)) throw ModelError("cd-AT: costs must be >= 0");
-  for (double d : damage)
+    if (std::isinf(c)) throw ModelError("cd-AT: costs must be finite");
+  }
+  for (double d : damage) {
     if (!(d >= 0.0)) throw ModelError("cd-AT: damages must be >= 0");
+    if (std::isinf(d)) throw ModelError("cd-AT: damages must be finite");
+  }
 }
 
 double cost_sum(const AttackTree& t, const std::vector<double>& cost,

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "service/hash_mix.hpp"
 
@@ -46,8 +45,13 @@ std::uint64_t fold_sorted(std::uint64_t seed, std::vector<std::uint64_t>& v) {
   return h;
 }
 
-std::size_t distinct_count(const std::vector<std::uint64_t>& colors) {
-  return std::unordered_set<std::uint64_t>(colors.begin(), colors.end()).size();
+/// Number of distinct colors, counted by sort+unique in \p scratch.
+std::size_t distinct_count(const std::vector<std::uint64_t>& colors,
+                           std::vector<std::uint64_t>& scratch) {
+  scratch.assign(colors.begin(), colors.end());
+  std::sort(scratch.begin(), scratch.end());
+  return static_cast<std::size_t>(
+      std::unique(scratch.begin(), scratch.end()) - scratch.begin());
 }
 
 /// WL color refinement over the (bidirectional) DAG.  Folding the old
@@ -59,8 +63,8 @@ std::vector<std::uint64_t> refined_colors(const View& m) {
   for (NodeId v = 0; v < static_cast<NodeId>(n); ++v)
     color[v] = initial_color(m, v);
 
-  std::vector<std::uint64_t> next(n), buf;
-  std::size_t distinct = distinct_count(color);
+  std::vector<std::uint64_t> next(n), buf, scratch;
+  std::size_t distinct = distinct_count(color, scratch);
   for (std::size_t round = 0; round < n; ++round) {
     for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
       const auto& node = m.tree.node(v);
@@ -74,7 +78,7 @@ std::vector<std::uint64_t> refined_colors(const View& m) {
       next[v] = c;
     }
     color.swap(next);
-    const std::size_t d = distinct_count(color);
+    const std::size_t d = distinct_count(color, scratch);
     if (d == distinct || d == n) break;
     distinct = d;
   }
@@ -94,6 +98,13 @@ bool decorations_equal(const View& a, NodeId u, const View& b, NodeId v) {
   return true;
 }
 
+/// Orders (color, node) entries by color alone, for equal_range.
+struct ByColor {
+  using Entry = std::pair<std::uint64_t, NodeId>;
+  bool operator()(const Entry& e, std::uint64_t c) const { return e.first < c; }
+  bool operator()(std::uint64_t c, const Entry& e) const { return c < e.first; }
+};
+
 /// Color-guided isomorphism matching: map a's nodes in topological
 /// (children-first) order onto same-colored b-nodes whose mapped children
 /// multiset matches exactly.  Backtracks over ties with a step budget;
@@ -105,9 +116,11 @@ std::vector<NodeId> find_isomorphism(const View& a,
                                      const View& b,
                                      const std::vector<std::uint64_t>& cb) {
   const std::size_t n = a.tree.node_count();
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> by_color;
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v)
-    by_color[cb[v]].push_back(v);
+  // b's nodes sorted by (color, id): each color's candidates are one
+  // contiguous run in ascending id order.
+  std::vector<ByColor::Entry> by_color(n);
+  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) by_color[v] = {cb[v], v};
+  std::sort(by_color.begin(), by_color.end());
 
   const std::vector<NodeId>& order = a.tree.topological_order();
   std::vector<NodeId> map(n, kNoNode);
@@ -133,12 +146,12 @@ std::vector<NodeId> find_isomorphism(const View& a,
   std::size_t budget = 200000;
   while (pos < n) {
     const NodeId u = order[pos];
-    const auto it = by_color.find(ca[u]);
-    if (it == by_color.end()) return {};
-    const std::vector<NodeId>& cands = it->second;
+    const auto [first, last] =
+        std::equal_range(by_color.begin(), by_color.end(), ca[u], ByColor{});
+    if (first == last) return {};
     bool advanced = false;
-    while (cand_pos[pos] < cands.size()) {
-      const NodeId v = cands[cand_pos[pos]++];
+    while (cand_pos[pos] < static_cast<std::size_t>(last - first)) {
+      const NodeId v = first[cand_pos[pos]++].second;
       if (used[v]) continue;
       if (budget-- == 0) return {};
       if (!candidate_ok(u, v)) continue;

@@ -559,6 +559,46 @@ TEST(Malformed, NonFiniteNumbersNeverSilentlyReachTheWire) {
   EXPECT_EQ(dec.code, ErrorCode::InvalidArgument);
 }
 
+TEST(Malformed, NonFiniteDecorationsAreModelErrors) {
+  // The parser reads "inf" and "nan" like std::stod does; validation
+  // must reject them before an engine answers with a null on the wire.
+  const struct {
+    engine::Problem problem;
+    const char* model;
+    const char* error;
+  } table[] = {
+      {engine::Problem::Dgc, "bas a cost=1 damage=inf\nor top = a\n",
+       "cd-AT: damages must be finite"},
+      {engine::Problem::Cdpf, "bas a cost=inf damage=1\nor top = a\n",
+       "cd-AT: costs must be finite"},
+      {engine::Problem::Cgd, "bas a cost=1\nor top = a damage=INFINITY\n",
+       "cd-AT: damages must be finite"},
+      {engine::Problem::Cedpf,
+       "bas a cost=1e308 prob=0.5\nbas b cost=inf\nor top = a, b\n",
+       "cd-AT: costs must be finite"},
+      // NaN and negative values keep their existing messages.
+      {engine::Problem::Cdpf, "bas a cost=nan\nor top = a\n",
+       "cd-AT: costs must be >= 0"},
+      {engine::Problem::Cdpf, "bas a cost=-inf\nor top = a\n",
+       "cd-AT: costs must be >= 0"},
+      {engine::Problem::Dgc, "bas a damage=-1\nor top = a\n",
+       "cd-AT: damages must be >= 0"},
+  };
+  Dispatcher d;
+  for (const auto& row : table) {
+    Request r;
+    r.op = SolveRequest{{row.problem, 1.0,
+                         row.problem == engine::Problem::Dgc ||
+                             row.problem == engine::Problem::Cgd,
+                         "", row.model}};
+    const Response resp = d.dispatch(r);
+    EXPECT_EQ(resp.code, ErrorCode::ModelError) << row.model;
+    EXPECT_EQ(resp.error, row.error) << row.model;
+    const std::string wire = encode_response(resp, false);
+    EXPECT_EQ(wire.find("null"), std::string::npos) << wire;
+  }
+}
+
 TEST(Malformed, FuzzedJsonNeverCrashesTheDecoder) {
   // Truncations and mutations of a valid request: every outcome must be
   // a clean decode or a typed error — never a crash.

@@ -146,6 +146,49 @@ TEST(Canon, ParserRoundTripPreservesCanonicalHash) {
   }
 }
 
+// Canonical identity is part of the cache contract: suite files pin
+// expect_hash values and cached witnesses are remapped through the
+// bijection.  These literals pin both, so a change to the refinement or
+// the matcher cannot shift them silently.
+TEST(Canon, HashesArePinned) {
+  EXPECT_EQ(canonical_hash(small_model(kBase)), 0x5707d115f3c5380bull);
+  EXPECT_EQ(canonical_hash(small_prob_model(
+                "bas a cost=1 prob=0.5\nbas b cost=2 prob=0.25\n"
+                "bas c cost=4 damage=3 prob=0.75\nand g = a, b damage=2\n"
+                "or root = g, c damage=10\n")),
+            0xdbd46162ac0b44fdull);
+  EXPECT_EQ(canonical_hash(small_model(
+                "bas a cost=1\nbas b cost=2\nbas c cost=3\n"
+                "and g1 = a, b\nand g2 = a, c\nor root = g1, g2 damage=7\n")),
+            0xadbc16070dcef06full);
+}
+
+TEST(Canon, BijectionOverAutomorphicLeavesIsPinned) {
+  // x, y, z are interchangeable; the matcher takes the lowest-id free
+  // candidate of each color, in a's topological order.
+  const CdAt a = small_model(
+      "bas x cost=1\nbas y cost=1\nbas z cost=1\n"
+      "and g = x, y, z damage=4\nbas w cost=2\nor root = g, w damage=1\n");
+  const CdAt b = small_model(
+      "bas w cost=2\nbas p cost=1\nbas q cost=1\nbas r cost=1\n"
+      "and h = r, p, q damage=4\nor top = w, h damage=1\n");
+  EXPECT_EQ(service::canonical_isomorphism(a, b),
+            (std::vector<NodeId>{1, 2, 3, 4, 0, 5}));
+  EXPECT_EQ(service::canonical_isomorphism(b, a),
+            (std::vector<NodeId>{4, 0, 1, 2, 3, 5}));
+  // A DAG whose middle leaf is shared, children permuted and gates
+  // declared in the other order.
+  const CdAt c = small_model(
+      "bas a cost=1\nbas b cost=1\nbas c cost=1\n"
+      "and g1 = a, b\nand g2 = b, c\nor root = g1, g2\n");
+  const CdAt d = small_model(
+      "bas u cost=1\nbas v cost=1\nbas s cost=1\n"
+      "and k2 = s, v\nand k1 = v, u\nor top = k2, k1\n");
+  EXPECT_EQ(canonical_hash(c), canonical_hash(d));
+  EXPECT_EQ(service::canonical_isomorphism(c, d),
+            (std::vector<NodeId>{0, 1, 2, 4, 3, 5}));
+}
+
 // ---------------------------------------------------------------------------
 // Result cache.
 // ---------------------------------------------------------------------------
