@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <thread>
 
 #include "obs/trace.hpp"
@@ -42,6 +43,9 @@ std::string instance_error(const Instance& in) {
   if (!needs_prob && !in.det)
     return head + " lacks a deterministic model: " + to_string(in.problem) +
            " is deterministic but the instance carries a probabilistic model";
+  if (!is_front(in.problem) && std::isnan(in.bound))
+    return head + " has a NaN bound; a bound must be a number (+inf means "
+                  "no limit)";
   return {};
 }
 

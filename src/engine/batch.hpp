@@ -76,8 +76,10 @@ struct BatchOptions {
 
 /// Validates the model/problem pairing of an instance: exactly one of
 /// det/prob must be set and it must match is_probabilistic(problem).
-/// Returns an empty string when valid, else a message naming the
-/// mismatch.  solve_one()/solve_all() report it as an ok=false result.
+/// The bound of a DgC/CgD/EDgC/CgED instance must not be NaN (+inf is a
+/// valid "no limit").  Returns an empty string when valid, else a
+/// message naming the mismatch.  solve_one()/solve_all() report it as
+/// an ok=false result.
 std::string instance_error(const Instance& instance);
 
 /// Solves one instance synchronously.

@@ -33,19 +33,6 @@ struct BestFirst {
   }
 };
 
-void apply_bounds(lp::LinearProgram& prog, const Node* node) {
-  // Walk leaf -> root; the leaf-most override of a variable is the
-  // tightest (child intervals are nested), so apply only the first one.
-  std::vector<char> seen(static_cast<std::size_t>(prog.num_vars()), 0);
-  for (const Node* n = node; n && n->var >= 0; n = n->parent.get()) {
-    auto& s = seen[static_cast<std::size_t>(n->var)];
-    if (!s) {
-      prog.set_bounds(n->var, n->lo, n->hi);
-      s = 1;
-    }
-  }
-}
-
 }  // namespace
 
 const char* to_string(IlpStatus s) {
@@ -71,6 +58,15 @@ IlpResult solve(const IntegerProgram& ip, const IlpOptions& opt) {
   IlpResult result;
   bool have_incumbent = false;
 
+  // The LP structure is the same at every node; only the bounds differ.
+  const lp::PreparedLp root = lp::prepare(ip.base);
+  const auto base_lo = ip.base.lower_bounds();
+  const auto base_hi = ip.base.upper_bounds();
+  std::vector<double> lo(base_lo.begin(), base_lo.end());
+  std::vector<double> hi(base_hi.begin(), base_hi.end());
+  // applied[v] == nodes_explored marks v as overridden at the current node.
+  std::vector<std::size_t> applied(lo.size(), 0);
+
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, BestFirst> open;
   std::uint64_t seq = 0;
   open.push({std::make_shared<Node>(), -lp::kInf, 0, seq++});
@@ -82,15 +78,25 @@ IlpResult solve(const IntegerProgram& ip, const IlpOptions& opt) {
         entry.bound >= result.objective - opt.absolute_gap)
       continue;  // cannot improve the incumbent
     if (result.nodes_explored >= opt.node_limit) {
-      result.status = have_incumbent ? IlpStatus::NodeLimit
-                                     : IlpStatus::NodeLimit;
+      result.status = IlpStatus::NodeLimit;
       return result;
     }
     ++result.nodes_explored;
 
-    lp::LinearProgram prog = ip.base;
-    apply_bounds(prog, entry.node.get());
-    const lp::LpResult rel = lp::solve(prog);
+    // Walk leaf -> root; the leaf-most override of a variable is the
+    // tightest (child intervals are nested), so apply only the first one.
+    std::copy(base_lo.begin(), base_lo.end(), lo.begin());
+    std::copy(base_hi.begin(), base_hi.end(), hi.begin());
+    for (const Node* n = entry.node.get(); n && n->var >= 0;
+         n = n->parent.get()) {
+      const auto v = static_cast<std::size_t>(n->var);
+      if (applied[v] != result.nodes_explored) {
+        applied[v] = result.nodes_explored;
+        lo[v] = n->lo;
+        hi[v] = n->hi;
+      }
+    }
+    const lp::LpResult rel = lp::solve(root, lo, hi);
     result.lp_iterations += rel.iterations;
     if (rel.status == lp::LpStatus::Infeasible) continue;
     if (rel.status == lp::LpStatus::Unbounded)
@@ -126,34 +132,26 @@ IlpResult solve(const IntegerProgram& ip, const IlpOptions& opt) {
       continue;
     }
 
-    // Determine the effective bounds of branch_var at this node.
-    double lo = ip.base.lower_bound(branch_var);
-    double hi = ip.base.upper_bound(branch_var);
-    for (const Node* n = entry.node.get(); n && n->var >= 0;
-         n = n->parent.get()) {
-      if (n->var == branch_var) {
-        lo = n->lo;
-        hi = n->hi;
-        break;
-      }
-    }
+    // The effective bounds of branch_var at this node.
+    const double var_lo = lo[static_cast<std::size_t>(branch_var)];
+    const double var_hi = hi[static_cast<std::size_t>(branch_var)];
     const double floor_v = std::floor(branch_val);
     // Down child: x <= floor(v); up child: x >= floor(v)+1.
-    if (floor_v >= lo) {
+    if (floor_v >= var_lo) {
       auto child = std::make_shared<Node>();
       child->parent = entry.node;
       child->var = branch_var;
-      child->lo = lo;
+      child->lo = var_lo;
       child->hi = floor_v;
       child->depth = entry.depth + 1;
       open.push({std::move(child), rel.objective, entry.depth + 1, seq++});
     }
-    if (floor_v + 1.0 <= hi) {
+    if (floor_v + 1.0 <= var_hi) {
       auto child = std::make_shared<Node>();
       child->parent = entry.node;
       child->var = branch_var;
       child->lo = floor_v + 1.0;
-      child->hi = hi;
+      child->hi = var_hi;
       child->depth = entry.depth + 1;
       open.push({std::move(child), rel.objective, entry.depth + 1, seq++});
     }

@@ -9,33 +9,70 @@ namespace {
 
 constexpr double kTol = 1e-9;
 constexpr std::size_t kMaxIters = 200000;
+/// Tableau entries a thread keeps allocated between solves (8 MiB); a
+/// larger tableau is released when its solve ends.
+constexpr std::size_t kKeepEntries = std::size_t{1} << 20;
+
+/// Buffers of one solve, reused by every solve on the same thread.
+struct Workspace {
+  std::vector<double> a;         // the tableau, m rows of n+1 entries
+  std::vector<double> obj;       // n+1
+  std::vector<int> basis;        // m
+  std::vector<std::size_t> nz;   // nonzero columns of the pivot row
+  std::vector<double> rhs;       // m
+  std::vector<char> flip;        // m: row negated so that rhs >= 0
+  std::vector<Sense> sense;      // m: sense after the flip
+};
+
+thread_local Workspace tls_workspace;
 
 /// Dense simplex tableau in canonical equality form.
 ///
 /// Layout: rows 0..m-1 are constraints, columns 0..n-1 are variables,
-/// column n is the right-hand side.  `basis[i]` is the variable basic in
-/// row i; basic columns are kept as unit columns.  `obj` is the reduced
-/// cost row (length n+1); obj[n] is the *negated* current objective value.
+/// column n is the right-hand side; row i starts at a + i*(n+1).
+/// `basis[i]` is the variable basic in row i; basic columns are kept as
+/// unit columns.  `obj` is the reduced cost row (length n+1); obj[n] is
+/// the *negated* current objective value.
 struct Tableau {
   std::size_t m = 0, n = 0;
-  std::vector<std::vector<double>> a;  // m x (n+1)
-  std::vector<double> obj;             // n+1
-  std::vector<int> basis;              // m
+  double* a = nullptr;
+  double* obj = nullptr;
+  int* basis = nullptr;
+  std::size_t* nz = nullptr;  // n+1 slots
   std::size_t iterations = 0;
 
-  void pivot(std::size_t row, std::size_t col) {
-    const double piv = a[row][col];
-    for (double& v : a[row]) v /= piv;
+  double* row(std::size_t i) const { return a + i * (n + 1); }
+
+  // A zero entry of the pivot row leaves the other rows' entries in its
+  // column unchanged up to the sign of a zero, which no comparison and no
+  // nonzero result depends on; so only the nonzero columns are updated.
+  // This needs finite entries, which LinearProgram guarantees outside the
+  // rhs column (coefficients and objective must be finite).  The rhs
+  // column is always updated, which keeps the solution's bits (zero signs
+  // included) equal to a dense elimination.
+  void pivot(std::size_t r, std::size_t col) {
+    double* pr = row(r);
+    const double piv = pr[col];
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (pr[j] != 0.0) {
+        pr[j] /= piv;
+        nz[k++] = j;
+      }
+    }
+    pr[n] /= piv;
+    nz[k++] = n;
     for (std::size_t i = 0; i < m; ++i) {
-      if (i == row) continue;
-      const double f = a[i][col];
+      if (i == r) continue;
+      double* ri = row(i);
+      const double f = ri[col];
       if (f == 0.0) continue;
-      for (std::size_t j = 0; j <= n; ++j) a[i][j] -= f * a[row][j];
+      for (std::size_t q = 0; q < k; ++q) ri[nz[q]] -= f * pr[nz[q]];
     }
     const double f = obj[col];
     if (f != 0.0)
-      for (std::size_t j = 0; j <= n; ++j) obj[j] -= f * a[row][j];
-    basis[row] = static_cast<int>(col);
+      for (std::size_t q = 0; q < k; ++q) obj[nz[q]] -= f * pr[nz[q]];
+    basis[r] = static_cast<int>(col);
     ++iterations;
   }
 
@@ -67,8 +104,9 @@ struct Tableau {
       std::size_t leave = m;
       double best_ratio = kInf;
       for (std::size_t i = 0; i < m; ++i) {
-        if (a[i][enter] <= kTol) continue;
-        const double ratio = a[i][n] / a[i][enter];
+        const double* ri = row(i);
+        if (ri[enter] <= kTol) continue;
+        const double ratio = ri[n] / ri[enter];
         if (ratio < best_ratio - kTol ||
             (ratio < best_ratio + kTol && leave != m &&
              basis[i] < basis[leave])) {
@@ -84,6 +122,38 @@ struct Tableau {
                               ? degenerate_streak + 1
                               : 0;
     }
+  }
+};
+
+void check_bounds(double lo, double hi) {
+  if (!std::isfinite(lo)) throw SolverError("lp: lower bound must be finite");
+  if (std::isnan(hi)) throw SolverError("lp: upper bound must not be NaN");
+  if (hi < lo) throw SolverError("lp: empty variable domain");
+}
+
+void check_var(const LinearProgram& lp, int var) {
+  if (var < 0 || var >= lp.num_vars())
+    throw SolverError("lp: unknown variable");
+}
+
+void check_obj(double obj) {
+  if (!std::isfinite(obj))
+    throw SolverError("lp: objective coefficient must be finite");
+}
+
+/// 2^-e for amax in [2^(e-1), 2^e), so that amax * result is in [0.5, 1).
+double pow2_inv(double amax) {
+  if (amax <= 0.0 || !std::isfinite(amax)) return 1.0;
+  int e = 0;
+  std::frexp(amax, &e);
+  return std::ldexp(1.0, -e);
+}
+
+/// Releases an oversized tableau when a solve ends, on every path.
+struct TrimOnExit {
+  Workspace& w;
+  ~TrimOnExit() {
+    if (w.a.capacity() > kKeepEntries) std::vector<double>().swap(w.a);
   }
 };
 
@@ -104,8 +174,8 @@ const char* to_string(LpStatus s) {
 }
 
 int LinearProgram::add_var(double lo, double hi, double obj) {
-  if (!std::isfinite(lo)) throw SolverError("lp: lower bound must be finite");
-  if (hi < lo) throw SolverError("lp: empty variable domain");
+  check_bounds(lo, hi);
+  check_obj(obj);
   lo_.push_back(lo);
   hi_.push_back(hi);
   obj_.push_back(obj);
@@ -115,66 +185,65 @@ int LinearProgram::add_var(double lo, double hi, double obj) {
 void LinearProgram::add_row(std::vector<std::pair<int, double>> terms,
                             Sense sense, double rhs) {
   for (const auto& [v, coeff] : terms) {
-    (void)coeff;
     if (v < 0 || v >= num_vars())
       throw SolverError("lp: row references unknown variable");
+    if (!std::isfinite(coeff))
+      throw SolverError("lp: row coefficient must be finite");
   }
+  if (std::isnan(rhs))
+    throw SolverError("lp: right-hand side must not be NaN");
   rows_.push_back(Row{std::move(terms), sense, rhs});
 }
 
 void LinearProgram::set_bounds(int var, double lo, double hi) {
-  if (var < 0 || var >= num_vars()) throw SolverError("lp: unknown variable");
-  if (!std::isfinite(lo)) throw SolverError("lp: lower bound must be finite");
-  if (hi < lo) throw SolverError("lp: empty variable domain");
+  check_var(*this, var);
+  check_bounds(lo, hi);
   lo_[static_cast<std::size_t>(var)] = lo;
   hi_[static_cast<std::size_t>(var)] = hi;
 }
 
 void LinearProgram::set_obj(int var, double obj) {
-  if (var < 0 || var >= num_vars()) throw SolverError("lp: unknown variable");
+  check_var(*this, var);
+  check_obj(obj);
   obj_[static_cast<std::size_t>(var)] = obj;
 }
 
-LpResult solve(const LinearProgram& lp) {
+PreparedLp prepare(const LinearProgram& lp) {
+  PreparedLp p;
   const std::size_t nv = static_cast<std::size_t>(lp.num_vars());
-
-  // Shift variables to z_j = x_j - lo_j >= 0 and turn finite upper bounds
-  // into explicit LE rows.
-  struct NormRow {
-    std::vector<double> coeff;  // dense over structural vars
-    Sense sense;
-    double rhs;
-  };
-  std::vector<NormRow> norm;
-  norm.reserve(lp.num_rows() + nv);
+  p.nv_ = nv;
+  p.rows_ = lp.num_rows();
+  p.term_begin_.reserve(p.rows_ + 1);
+  p.term_begin_.push_back(0);
   for (const auto& r : lp.rows()) {
-    NormRow nr{std::vector<double>(nv, 0.0), r.sense, r.rhs};
     for (const auto& [v, c] : r.terms) {
-      nr.coeff[static_cast<std::size_t>(v)] += c;
-      nr.rhs -= c * lp.lower_bound(v);
+      p.term_var_.push_back(v);
+      p.term_coeff_.push_back(c);
     }
-    norm.push_back(std::move(nr));
+    p.term_begin_.push_back(p.term_var_.size());
+    p.rhs_.push_back(r.rhs);
+    p.sense_.push_back(r.sense);
   }
+  p.has_bound_.assign(nv, 0);
   for (std::size_t j = 0; j < nv; ++j) {
-    const double hi = lp.upper_bound(static_cast<int>(j));
-    if (std::isfinite(hi)) {
-      NormRow nr{std::vector<double>(nv, 0.0), Sense::LE,
-                 hi - lp.lower_bound(static_cast<int>(j))};
-      nr.coeff[j] = 1.0;
-      norm.push_back(std::move(nr));
+    if (std::isfinite(lp.upper_bound(static_cast<int>(j)))) {
+      p.bounded_.push_back(static_cast<int>(j));
+      p.has_bound_[j] = 1;
     }
   }
-  // Normalize signs so every rhs is >= 0.
-  for (auto& r : norm) {
-    if (r.rhs < 0.0) {
-      for (double& c : r.coeff) c = -c;
-      r.rhs = -r.rhs;
-      if (r.sense == Sense::LE)
-        r.sense = Sense::GE;
-      else if (r.sense == Sense::GE)
-        r.sense = Sense::LE;
-    }
-  }
+
+  // Dense rows over the variables shifted to z_j = x_j - lo_j >= 0: the
+  // constraint rows, then an LE row z_j <= hi_j - lo_j per finite upper
+  // bound.  Only right-hand sides depend on the bounds.
+  const std::size_t m = p.rows_ + p.bounded_.size();
+  p.coeff_.assign(m * nv, 0.0);
+  for (std::size_t i = 0; i < p.rows_; ++i)
+    for (std::size_t k = p.term_begin_[i]; k < p.term_begin_[i + 1]; ++k)
+      p.coeff_[i * nv + static_cast<std::size_t>(p.term_var_[k])] +=
+          p.term_coeff_[k];
+  for (std::size_t k = 0; k < p.bounded_.size(); ++k)
+    p.coeff_[(p.rows_ + k) * nv + static_cast<std::size_t>(p.bounded_[k])] =
+        1.0;
 
   // ---- Power-of-two equilibration. ----
   // Models with hardened decorations (analysis/ multiplies BAS costs by
@@ -187,83 +256,149 @@ LpResult solve(const LinearProgram& lp) {
   // untouched), and the variable bound rows built above anchor every
   // column near 1 — so a few alternating passes bring all row and column
   // maxima into [0.5, 1) without introducing a single rounding error.
-  // The solution maps back as z_j = colscale_j * z'_j.
-  auto pow2_inv = [](double amax) {
-    if (amax <= 0.0 || !std::isfinite(amax)) return 1.0;
-    int e = 0;
-    std::frexp(amax, &e);
-    return std::ldexp(1.0, -e);  // amax * result in [0.5, 1)
-  };
-  std::vector<double> colscale(nv, 1.0);
+  // The scales depend on |coefficients| only, so the sign flips solve()
+  // applies per bounds commute with them.  Each pass's row scales are
+  // kept so that solve() scales a right-hand side by the same sequence
+  // of factors.  The solution maps back as z_j = colscale_j * z'_j.
+  p.colscale_.assign(nv, 1.0);
+  std::vector<double> colmax(nv);
   for (int pass = 0; pass < 4; ++pass) {
     bool changed = false;
-    for (auto& r : norm) {
+    for (std::size_t i = 0; i < m; ++i) {
+      double* ci = p.coeff_.data() + i * nv;
       double amax = 0.0;
-      for (double c : r.coeff) amax = std::max(amax, std::abs(c));
+      for (std::size_t j = 0; j < nv; ++j)
+        amax = std::max(amax, std::abs(ci[j]));
       const double s = pow2_inv(amax);
+      p.row_scale_.push_back(s);
       if (s != 1.0) {
-        for (double& c : r.coeff) c *= s;
-        r.rhs *= s;
+        for (std::size_t j = 0; j < nv; ++j) ci[j] *= s;
         changed = true;
       }
     }
+    ++p.passes_;
+    std::fill(colmax.begin(), colmax.end(), 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* ci = p.coeff_.data() + i * nv;
+      for (std::size_t j = 0; j < nv; ++j)
+        colmax[j] = std::max(colmax[j], std::abs(ci[j]));
+    }
     for (std::size_t j = 0; j < nv; ++j) {
-      double amax = 0.0;
-      for (const auto& r : norm) amax = std::max(amax, std::abs(r.coeff[j]));
-      const double s = pow2_inv(amax);
-      if (s != 1.0) {
-        for (auto& r : norm) r.coeff[j] *= s;
-        colscale[j] *= s;
+      colmax[j] = pow2_inv(colmax[j]);
+      if (colmax[j] != 1.0) {
+        p.colscale_[j] *= colmax[j];
         changed = true;
       }
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      double* ci = p.coeff_.data() + i * nv;
+      for (std::size_t j = 0; j < nv; ++j) ci[j] *= colmax[j];
     }
     if (!changed) break;
   }
   // Scaled phase-2 objective (the reported objective value is recomputed
   // from the original coefficients at the end, so this only conditions
   // the reduced-cost row).
-  std::vector<double> sobj(nv, 0.0);
+  p.obj_.resize(nv);
+  p.sobj_.resize(nv);
   double obj_amax = 0.0;
   for (std::size_t j = 0; j < nv; ++j) {
-    sobj[j] = lp.objective_coeff(static_cast<int>(j)) * colscale[j];
-    obj_amax = std::max(obj_amax, std::abs(sobj[j]));
+    p.obj_[j] = lp.objective_coeff(static_cast<int>(j));
+    p.sobj_[j] = p.obj_[j] * p.colscale_[j];
+    obj_amax = std::max(obj_amax, std::abs(p.sobj_[j]));
   }
   const double objscale = pow2_inv(obj_amax);
-  for (double& c : sobj) c *= objscale;
+  for (double& c : p.sobj_) c *= objscale;
+  return p;
+}
 
-  const std::size_t m = norm.size();
-  // Column layout: [structural | slacks/surpluses | artificials].
-  std::size_t n_slack = 0, n_art = 0;
-  for (const auto& r : norm) {
-    if (r.sense != Sense::EQ) ++n_slack;
-    if (r.sense != Sense::LE) ++n_art;
+LpResult solve(const PreparedLp& p, std::span<const double> lo,
+               std::span<const double> hi) {
+  const std::size_t nv = p.nv_;
+  if (lo.size() != nv || hi.size() != nv)
+    throw SolverError("lp: bound arrays do not match the program");
+  for (std::size_t j = 0; j < nv; ++j) {
+    check_bounds(lo[j], hi[j]);
+    if (std::isfinite(hi[j]) != (p.has_bound_[j] != 0))
+      throw SolverError(
+          "lp: finite upper bounds differ from the prepared program");
   }
+  Workspace& w = tls_workspace;
+  const TrimOnExit trim{w};
+
+  // Right-hand sides of the shifted rows, term by term; then negate rows
+  // with a negative rhs (LE <-> GE) and apply the row scales.
+  const std::size_t m = p.rows_ + p.bounded_.size();
+  w.rhs.resize(m);
+  w.flip.resize(m);
+  w.sense.resize(m);
+  for (std::size_t i = 0; i < p.rows_; ++i) {
+    double r = p.rhs_[i];
+    for (std::size_t k = p.term_begin_[i]; k < p.term_begin_[i + 1]; ++k)
+      r -= p.term_coeff_[k] * lo[static_cast<std::size_t>(p.term_var_[k])];
+    w.rhs[i] = r;
+    w.sense[i] = p.sense_[i];
+  }
+  for (std::size_t k = 0; k < p.bounded_.size(); ++k) {
+    const auto j = static_cast<std::size_t>(p.bounded_[k]);
+    w.rhs[p.rows_ + k] = hi[j] - lo[j];
+    w.sense[p.rows_ + k] = Sense::LE;
+  }
+  std::size_t n_slack = 0, n_art = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    double& r = w.rhs[i];
+    Sense& sense = w.sense[i];
+    w.flip[i] = r < 0.0;
+    if (w.flip[i]) {
+      r = -r;
+      if (sense == Sense::LE)
+        sense = Sense::GE;
+      else if (sense == Sense::GE)
+        sense = Sense::LE;
+    }
+    for (std::size_t pass = 0; pass < p.passes_; ++pass)
+      r *= p.row_scale_[pass * m + i];
+    if (sense != Sense::EQ) ++n_slack;
+    if (sense != Sense::LE) ++n_art;
+  }
+
+  // Column layout: [structural | slacks/surpluses | artificials].
   const std::size_t n = nv + n_slack + n_art;
   const std::size_t art_begin = nv + n_slack;
-
+  w.a.assign(m * (n + 1), 0.0);
+  w.obj.resize(n + 1);
+  w.basis.assign(m, -1);
+  w.nz.resize(n + 1);
   Tableau t;
   t.m = m;
   t.n = n;
-  t.a.assign(m, std::vector<double>(n + 1, 0.0));
-  t.basis.assign(m, -1);
+  t.a = w.a.data();
+  t.obj = w.obj.data();
+  t.basis = w.basis.data();
+  t.nz = w.nz.data();
 
   std::size_t slack_at = nv, art_at = art_begin;
   for (std::size_t i = 0; i < m; ++i) {
-    const auto& r = norm[i];
-    for (std::size_t j = 0; j < nv; ++j) t.a[i][j] = r.coeff[j];
-    t.a[i][n] = r.rhs;
-    switch (r.sense) {
+    double* ri = t.row(i);
+    const double* ci = p.coeff_.data() + i * nv;
+    if (w.flip[i]) {
+      for (std::size_t j = 0; j < nv; ++j) ri[j] = -ci[j];
+    } else {
+      std::copy(ci, ci + nv, ri);
+    }
+    ri[n] = w.rhs[i];
+    switch (w.sense[i]) {
       case Sense::LE:
-        t.a[i][slack_at] = 1.0;
+        ri[slack_at] = 1.0;
         t.basis[i] = static_cast<int>(slack_at++);
         break;
       case Sense::GE:
-        t.a[i][slack_at++] = -1.0;
-        t.a[i][art_at] = 1.0;
+        ri[slack_at++] = -1.0;
+        ri[art_at] = 1.0;
         t.basis[i] = static_cast<int>(art_at++);
         break;
       case Sense::EQ:
-        t.a[i][art_at] = 1.0;
+        ri[art_at] = 1.0;
         t.basis[i] = static_cast<int>(art_at++);
         break;
     }
@@ -273,12 +408,14 @@ LpResult solve(const LinearProgram& lp) {
 
   // ---- Phase 1: minimize the sum of artificials. ----
   if (n_art > 0) {
-    t.obj.assign(n + 1, 0.0);
+    std::fill(t.obj, t.obj + n + 1, 0.0);
     // Reduced costs of c1 = (0,...,0,1,...,1) w.r.t. the artificial basis:
     // subtract every artificial-basic row from the objective row.
     for (std::size_t i = 0; i < m; ++i) {
-      if (static_cast<std::size_t>(t.basis[i]) >= art_begin)
-        for (std::size_t j = 0; j <= n; ++j) t.obj[j] -= t.a[i][j];
+      if (static_cast<std::size_t>(t.basis[i]) >= art_begin) {
+        const double* ri = t.row(i);
+        for (std::size_t j = 0; j <= n; ++j) t.obj[j] -= ri[j];
+      }
     }
     for (std::size_t j = art_begin; j < n; ++j) t.obj[j] += 1.0;
 
@@ -296,9 +433,10 @@ LpResult solve(const LinearProgram& lp) {
     // Drive remaining artificials out of the basis where possible.
     for (std::size_t i = 0; i < m; ++i) {
       if (static_cast<std::size_t>(t.basis[i]) < art_begin) continue;
+      const double* ri = t.row(i);
       std::size_t col = n;
       for (std::size_t j = 0; j < art_begin; ++j)
-        if (std::abs(t.a[i][j]) > 1e-7) {
+        if (std::abs(ri[j]) > 1e-7) {
           col = j;
           break;
         }
@@ -309,14 +447,16 @@ LpResult solve(const LinearProgram& lp) {
   }
 
   // ---- Phase 2: scaled objective over the shifted, scaled variables. ----
-  t.obj.assign(n + 1, 0.0);
-  for (std::size_t j = 0; j < nv; ++j) t.obj[j] = sobj[j];
+  std::fill(t.obj, t.obj + n + 1, 0.0);
+  std::copy(p.sobj_.begin(), p.sobj_.end(), t.obj);
   // Make reduced costs of basic variables zero.
   for (std::size_t i = 0; i < m; ++i) {
     const auto b = static_cast<std::size_t>(t.basis[i]);
-    const double cb = b < nv ? sobj[b] : 0.0;
-    if (cb != 0.0)
-      for (std::size_t j = 0; j <= n; ++j) t.obj[j] -= cb * t.a[i][j];
+    const double cb = b < nv ? p.sobj_[b] : 0.0;
+    if (cb != 0.0) {
+      const double* ri = t.row(i);
+      for (std::size_t j = 0; j <= n; ++j) t.obj[j] -= cb * ri[j];
+    }
   }
 
   const LpStatus s2 =
@@ -328,17 +468,22 @@ LpResult solve(const LinearProgram& lp) {
   }
 
   // Extract the solution, un-scale, and un-shift.
-  std::vector<double> z(n, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    z[static_cast<std::size_t>(t.basis[i])] = t.a[i][n];
-  result.x.resize(nv);
+  result.x.assign(nv, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto b = static_cast<std::size_t>(t.basis[i]);
+    if (b < nv) result.x[b] = t.row(i)[n];
+  }
   result.objective = 0.0;
   for (std::size_t j = 0; j < nv; ++j) {
-    result.x[j] = colscale[j] * z[j] + lp.lower_bound(static_cast<int>(j));
-    result.objective += lp.objective_coeff(static_cast<int>(j)) * result.x[j];
+    result.x[j] = p.colscale_[j] * result.x[j] + lo[j];
+    result.objective += p.obj_[j] * result.x[j];
   }
   result.status = LpStatus::Optimal;
   return result;
+}
+
+LpResult solve(const LinearProgram& lp) {
+  return solve(prepare(lp), lp.lower_bounds(), lp.upper_bounds());
 }
 
 }  // namespace atcd::lp

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "casestudies/dataserver.hpp"
 #include "casestudies/factory.hpp"
 #include "core/bottom_up.hpp"
 #include "core/enumerative.hpp"
+#include "gen/random_at.hpp"
 #include "helpers.hpp"
 
 namespace atcd {
@@ -135,6 +140,68 @@ TEST(BilpMethod, StatsAreReported) {
   (void)cdpf_bilp(casestudies::make_factory(), &stats);
   EXPECT_GT(stats.ilp_solves, 0u);
   EXPECT_GT(stats.bnb_nodes, 0u);
+}
+
+/// FNV-1a over the exact bits of every reported value and witness.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void byte(unsigned char b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(w >> (8 * i)));
+  }
+  void value(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  void witness(const Attack& a) {
+    word(a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) byte(a.test(i) ? 1 : 0);
+  }
+  void opt(const OptAttack& r) {
+    byte(r.feasible ? 1 : 0);
+    value(r.cost);
+    value(r.damage);
+    witness(r.witness);
+  }
+};
+
+// Pins the BILP engine bit for bit: the exact cost/damage bits and
+// witnesses of dgc, cgd and cdpf on 50 generated DAG models, and the
+// total branch-and-bound node count.  Optima often tie, and the simplex
+// pivot path decides which tied vertex (and so which witness) is
+// reported, so any change to the pivoting shows here.
+TEST(BilpMethod, DagResultsAndNodeCountsArePinned) {
+  Rng rng(4501);
+  gen::SuiteOptions opt;
+  opt.max_n = 14;
+  opt.per_size = 9;
+  opt.treelike = false;
+  Digest d;
+  BilpRunStats stats;
+  std::size_t models = 0;
+  for (const auto& e : gen::make_suite(opt, rng)) {
+    if (e.tree.is_treelike() || models == 50) continue;
+    ++models;
+    const CdAt m = randomize_decorations(e.tree, rng).deterministic();
+    Attack all(m.tree.bas_count());
+    for (std::size_t i = 0; i < all.size(); ++i) all.set(i);
+    const double budget = std::floor(total_cost(m, all) / 2.0);
+    const double threshold = std::floor(total_damage(m, all) / 2.0);
+
+    d.opt(dgc_bilp(m, budget, &stats));
+    d.opt(cgd_bilp(m, threshold, &stats));
+    const auto f = cdpf_bilp(m, &stats);
+    d.word(f.size());
+    for (const auto& p : f) {
+      d.value(p.value.cost);
+      d.value(p.value.damage);
+      d.witness(p.witness);
+    }
+  }
+  ASSERT_EQ(models, 50u);
+  EXPECT_EQ(d.h, 0x45944b9b385dce3dull);
+  EXPECT_EQ(stats.ilp_solves, 2186u);
+  EXPECT_EQ(stats.bnb_nodes, 45771u);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -14,6 +16,7 @@
 #include "core/knapsack.hpp"
 #include "casestudies/factory.hpp"
 #include "core/problems.hpp"
+#include "engine/batch.hpp"
 #include "helpers.hpp"
 
 namespace atcd {
@@ -159,6 +162,36 @@ TEST(EngineDispatch, ExplicitMismatchThrowsUnsupported) {
   const auto fac = casestudies::make_factory_probabilistic();
   EXPECT_THROW(cedpf(fac, Engine::Bilp), UnsupportedError);
   EXPECT_THROW(cedpf(fac, Engine::Knapsack), UnsupportedError);
+}
+
+// A NaN bound used to reach the engines, which read it differently:
+// bottom-up answered "infeasible" where bilp and enumerative returned
+// the full (dgc) or empty (cgd) attack.  It is now an instance error,
+// whatever the engine; +inf stays a valid "no limit".
+TEST(EngineDispatch, NanBoundIsAnInstanceErrorForEveryExactEngine) {
+  const auto det = casestudies::make_factory();
+  const auto prob = casestudies::make_factory_probabilistic();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Problem p :
+       {Problem::Dgc, Problem::Cgd, Problem::Edgc, Problem::Cged}) {
+    const std::string expect = std::string("instance for ") + to_string(p) +
+                               " has a NaN bound; a bound must be a number "
+                               "(+inf means no limit)";
+    for (const engine::Backend* b : engine::default_registry().all()) {
+      if (!b->capabilities().exact) continue;
+      const auto in = engine::is_probabilistic(p)
+                          ? engine::Instance::of(p, prob, nan, b->name())
+                          : engine::Instance::of(p, det, nan, b->name());
+      const auto r = engine::solve_one(in);
+      EXPECT_FALSE(r.ok) << to_string(p) << " " << b->name();
+      EXPECT_EQ(r.error, expect) << b->name();
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto unbounded = engine::solve_one(
+      engine::Instance::of(Problem::Dgc, det, inf, "bottom-up"));
+  ASSERT_TRUE(unbounded.ok) << unbounded.error;
+  EXPECT_DOUBLE_EQ(unbounded.attack.damage, 310.0);
 }
 
 TEST(EngineDispatch, Nsga2IsSelectableByName) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace atcd::lp {
@@ -121,6 +124,37 @@ TEST(Lp, RejectsMalformedModels) {
   EXPECT_THROW(p.add_row({{5, 1.0}}, Sense::LE, 0), SolverError);
   EXPECT_THROW(p.set_bounds(3, 0, 1), SolverError);
   EXPECT_THROW(p.set_obj(3, 1.0), SolverError);
+
+  // NaN never enters a program: it used to be read as "no upper bound"
+  // (add_var) or to yield an "optimal" result (add_row).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(p.add_var(nan, 1, 0.0), SolverError);
+  EXPECT_THROW(p.add_var(0, nan, 0.0), SolverError);
+  EXPECT_THROW(p.add_var(0, 1, nan), SolverError);
+  EXPECT_THROW(p.add_var(0, 1, kInf), SolverError);
+  EXPECT_THROW(p.add_row({{0, nan}}, Sense::LE, 1), SolverError);
+  EXPECT_THROW(p.add_row({{0, kInf}}, Sense::LE, 1), SolverError);
+  EXPECT_THROW(p.add_row({{0, 1.0}}, Sense::LE, nan), SolverError);
+  EXPECT_THROW(p.set_bounds(0, 0, nan), SolverError);
+  EXPECT_THROW(p.set_bounds(0, nan, 1), SolverError);
+  EXPECT_THROW(p.set_obj(0, nan), SolverError);
+  EXPECT_EQ(p.num_vars(), 1);
+  EXPECT_EQ(p.num_rows(), 0u);
+  EXPECT_EQ(p.upper_bound(0), 1.0);
+  EXPECT_EQ(p.objective_coeff(0), 0.0);
+  // An infinite right-hand side stays legal (an unlimited budget row).
+  p.add_row({{0, 1.0}}, Sense::LE, kInf);
+  EXPECT_EQ(solve(p).status, LpStatus::Optimal);
+
+  // Bounds handed to a prepared program get the same checks, and their
+  // finite upper bounds must be where the program's were.
+  const PreparedLp prep = prepare(p);
+  const std::vector<double> lo{0.0}, hi{1.0}, hi_nan{nan}, hi_inf{kInf};
+  EXPECT_EQ(solve(prep, lo, hi).status, LpStatus::Optimal);
+  EXPECT_THROW(solve(prep, lo, hi_nan), SolverError);
+  EXPECT_THROW(solve(prep, lo, hi_inf), SolverError);
+  EXPECT_THROW(solve(prep, hi_nan, hi), SolverError);
+  EXPECT_THROW(solve(prep, {}, {}), SolverError);
 }
 
 TEST(Lp, RandomFeasibleBoxProblemsAgreeWithVertexEnumeration) {
