@@ -1,5 +1,8 @@
 #include "core/problems.hpp"
 
+#include <cmath>
+
+#include "engine/batch.hpp"
 #include "engine/planner.hpp"
 
 namespace atcd {
@@ -13,6 +16,16 @@ const engine::Backend& route(Engine e, engine::Problem p,
   const engine::Planner planner;
   if (e == Engine::Auto) return planner.plan(p, t);
   return planner.resolve(to_string(e), p, t);
+}
+
+/// Rejects a NaN bound before any backend sees it, with the batch
+/// path's instance_error() text: backends disagree on NaN (enumerative
+/// reads it as no limit, bottom-up as infeasible, the BILP's LP throws).
+template <class Model>
+void check_bound(engine::Problem p, const Model& m, double bound) {
+  if (std::isnan(bound))
+    throw ArgumentError(
+        engine::instance_error(engine::Instance::of(p, m, bound)));
 }
 
 }  // namespace
@@ -34,10 +47,12 @@ Front2d cdpf(const CdAt& m, Engine e) {
 }
 
 OptAttack dgc(const CdAt& m, double budget, Engine e) {
+  check_bound(engine::Problem::Dgc, m, budget);
   return route(e, engine::Problem::Dgc, engine::traits_of(m)).dgc(m, budget);
 }
 
 OptAttack cgd(const CdAt& m, double threshold, Engine e) {
+  check_bound(engine::Problem::Cgd, m, threshold);
   return route(e, engine::Problem::Cgd, engine::traits_of(m))
       .cgd(m, threshold);
 }
@@ -47,11 +62,13 @@ Front2d cedpf(const CdpAt& m, Engine e) {
 }
 
 OptAttack edgc(const CdpAt& m, double budget, Engine e) {
+  check_bound(engine::Problem::Edgc, m, budget);
   return route(e, engine::Problem::Edgc, engine::traits_of(m))
       .edgc(m, budget);
 }
 
 OptAttack cged(const CdpAt& m, double threshold, Engine e) {
+  check_bound(engine::Problem::Cged, m, threshold);
   return route(e, engine::Problem::Cged, engine::traits_of(m))
       .cged(m, threshold);
 }

@@ -18,9 +18,10 @@
 /// (any model class) and the exact knapsack branch-and-bound (additive
 /// models, single-objective problems only).  Engines not applicable to
 /// the requested problem/model class throw UnsupportedError naming the
-/// missing capability.  For registry lookups by string name, custom
-/// selection policies, and the batch API see engine/registry.hpp,
-/// engine/planner.hpp and engine/batch.hpp.
+/// missing capability.  A NaN budget or threshold throws ArgumentError
+/// under every engine, Auto included.  For registry lookups by string
+/// name, custom selection policies, and the batch API see
+/// engine/registry.hpp, engine/planner.hpp and engine/batch.hpp.
 
 #include "core/cdat.hpp"
 #include "core/opt_result.hpp"

@@ -374,6 +374,7 @@ template <typename T>
 bool read_raw(const std::string& in, std::size_t* at, T* p, std::size_t n) {
   const std::size_t bytes = n * sizeof(T);
   if (in.size() - *at < bytes) return false;
+  if (bytes == 0) return true;  // p may be null (empty column)
   std::memcpy(p, in.data() + *at, bytes);
   *at += bytes;
   return true;

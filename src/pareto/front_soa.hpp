@@ -98,9 +98,10 @@ class TripleBuf {
     return {cost.data(), damage.data(), act.data(), wit.data(), cost.size()};
   }
 
-  /// Conversions at the SubtreeVisitor boundary (memo entries stay AoS,
-  /// so caches and sessions remain bit-compatible).  \p nbits is the
-  /// witness bit width (the host model's BAS count).
+  /// Conversions for visitors that speak only the AoS protocol (the
+  /// pointer sweep's lookup()/store()); the memos themselves — session
+  /// memo and subtree cache — store SoA.  \p nbits is the witness bit
+  /// width.
   static TripleBuf from_aos(const std::vector<AttrTriple>& xs,
                             std::size_t nbits);
   std::vector<AttrTriple> to_aos(std::size_t nbits) const;

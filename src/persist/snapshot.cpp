@@ -108,6 +108,7 @@ class Reader {
   Reader(const char* data, std::size_t size) : p_(data), n_(size) {}
 
   bool done() const { return off_ == n_; }
+  std::size_t remaining() const { return n_ - off_; }
 
   std::uint8_t u8() {
     need(1);
@@ -271,12 +272,16 @@ std::string encode_subtree_section(const service::SubtreeCache& cache,
     put_u64(&out, e.hash);
     put_f64(&out, e.budget);
     put_str(&out, *e.sig);
-    put_u64(&out, e.front->size());
-    for (const AttrTriple& t : *e.front) {
-      put_f64(&out, t.t.cost);
-      put_f64(&out, t.t.damage);
-      put_f64(&out, t.t.act);
-      put_bitset(&out, t.witness);
+    const TripleBuf& f = e.front->buf;
+    put_u64(&out, f.size());
+    for (std::size_t r = 0; r < f.size(); ++r) {
+      put_f64(&out, f.cost[r]);
+      put_f64(&out, f.damage[r]);
+      put_f64(&out, f.act[r]);
+      // Same bytes as put_bitset() of an nbits-wide DynBitset.
+      put_u64(&out, e.front->nbits);
+      const std::uint64_t* w = f.witness(r);
+      for (std::size_t k = 0; k < f.wpa(); ++k) put_u64(&out, w[k]);
     }
   }
   return out;
@@ -286,7 +291,7 @@ struct StagedSubtree {
   std::uint64_t hash = 0;
   double budget = 0.0;
   std::string sig;
-  std::vector<AttrTriple> front;
+  service::SubtreeCache::LocalFront front;
 };
 
 std::vector<StagedSubtree> decode_subtree_section(const std::string& payload) {
@@ -298,20 +303,29 @@ std::vector<StagedSubtree> decode_subtree_section(const std::string& payload) {
     s.hash = r.u64();
     s.budget = r.f64();
     s.sig = r.str();
+    // A hit indexes the host's leaf table by local witness bits, so
+    // every witness must be exactly as wide as the subtree has leaves.
+    const std::size_t nbits = service::SubtreeCache::signature_leaves(s.sig);
+    const std::size_t wpa = (nbits + 63) / 64;
     const std::uint64_t points = r.u64();
-    // Exact reserve: SubtreeCache::put charges capacity(), so a
-    // restored front must not carry push_back growth slack.  Clamped
-    // by what the payload could possibly hold (each point is >= 24
-    // bytes) so a corrupt count cannot trigger a huge allocation.
-    s.front.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(points, payload.size() / 24 + 1)));
+    // Each point takes 32 + 8 * wpa payload bytes; a count the payload
+    // cannot hold is rejected before anything is allocated.
+    if (points > r.remaining() / (32 + 8 * wpa))
+      corrupt("front longer than its payload");
+    // Exact reserve: SubtreeCache::put charges capacity(), so a restored
+    // front must not carry growth slack.
+    TripleBuf& f = s.front.buf;
+    s.front.nbits = nbits;
+    f.set_wpa(static_cast<std::uint32_t>(wpa));
+    f.reserve(static_cast<std::size_t>(points));
     for (std::uint64_t k = 0; k < points; ++k) {
-      AttrTriple t;
-      t.t.cost = r.f64();
-      t.t.damage = r.f64();
-      t.t.act = r.f64();
-      t.witness = r.bitset();
-      s.front.push_back(std::move(t));
+      const double c = r.f64(), d = r.f64(), a = r.f64();
+      if (r.u64() != nbits)
+        corrupt("witness width differs from the subtree's leaf count");
+      std::uint64_t* w = f.witness(f.push_zero(c, d, a));
+      for (std::size_t j = 0; j < wpa; ++j) w[j] = r.u64();
+      if (nbits % 64 != 0 && wpa > 0 && (w[wpa - 1] >> (nbits % 64)) != 0)
+        corrupt("witness padding bits set");
     }
     staged.push_back(std::move(s));
   }

@@ -24,11 +24,14 @@ void append_hex(std::string& out, std::uint64_t v) {
   out.append(buf, 16);
 }
 
-std::size_t front_bytes(const std::vector<AttrTriple>& front) {
-  std::size_t b = front.capacity() * sizeof(AttrTriple);
-  for (const auto& t : front)
-    b += (t.witness.size() + 63) / 64 * 8;
-  return b;
+/// pos_ entry of a BAS the root does not reach.
+constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+std::size_t front_bytes(const SubtreeCache::LocalFront& f) {
+  const TripleBuf& b = f.buf;
+  return (b.cost.capacity() + b.damage.capacity() + b.act.capacity()) *
+             sizeof(double) +
+         b.wit.capacity() * sizeof(std::uint64_t);
 }
 
 // Merkle subtree hashing, shared by the binding and the standalone
@@ -135,7 +138,8 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
         cost_(cost),
         damage_(damage),
         prob_(prob),
-        budget_(double_bits(budget) == double_bits(0.0) ? 0.0 : budget) {
+        budget_(double_bits(budget) == double_bits(0.0) ? 0.0 : budget),
+        host_wpa_((tree.bas_count() + 63) / 64) {
     const std::size_t n = tree.node_count();
     hash_.resize(n);
     count_.resize(n);
@@ -200,46 +204,81 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
       ++dfs.back().second;
       dfs.push_back({order_[v][child], 0});
     }
+    // Inverse table: host BAS -> canonical position.  Subtree v's local
+    // leaf index of host BAS b is pos_[b] - offset_[v]; BAS the root
+    // does not reach keep kAbsent, which no subtree range contains.
+    pos_.assign(tree.bas_count(), kAbsent);
+    for (std::size_t i = 0; i < canon_leaves_.size(); ++i)
+      pos_[canon_leaves_[i]] = static_cast<std::uint32_t>(i);
   }
 
+  // AoS protocol (pointer sweep): thin adapters over the SoA paths
+  // below, so both sweeps make the same decisions and store the same
+  // bytes.
+
   bool lookup(NodeId v, std::vector<AttrTriple>* out) override {
-    if (count_[v] < cache_.config_.min_leaves) return false;
-    const auto front =
-        cache_.find(key_of(v), [&]() -> const std::string& { return sig(v); });
-    if (!front) return false;
-    // Local -> host: local leaf position i is the host BAS leaf(v, i).
-    out->clear();
-    out->reserve(front->size());
-    for (const AttrTriple& t : *front) {
-      AttrTriple g;
-      g.t = t.t;
-      g.witness = Attack(tree_.bas_count());
-      for (std::size_t i : t.witness.ones()) g.witness.set(leaf(v, i));
-      out->push_back(std::move(g));
-    }
+    TripleView hit;
+    if (lookup_view(v, &hit) != ViewResult::kHit) return false;
+    view_to_aos_into(hit, tree_.bas_count(), out);
     return true;
   }
 
   void store(NodeId v, const std::vector<AttrTriple>& front) override {
+    if (count_[v] < cache_.config_.min_leaves) return;
+    aos_in_ = TripleBuf::from_aos(front, tree_.bas_count());
+    store_soa(v, aos_in_.view(), tree_.bas_count(), nullptr);
+  }
+
+  ViewResult lookup_view(NodeId v, TripleView* out) override {
+    if (count_[v] < cache_.config_.min_leaves) return ViewResult::kMiss;
+    held_ =
+        cache_.find(key_of(v), [&]() -> const std::string& { return sig(v); });
+    if (!held_) return ViewResult::kMiss;
+    // Local -> host: local leaf position i is the host BAS leaf(v, i).
+    // The columns are served straight from the (immutable) entry, held
+    // until the next call; only the witnesses are rewritten.
+    const TripleBuf& f = held_->buf;
+    hit_wit_.assign(f.size() * host_wpa_, 0);
+    for (std::size_t r = 0; r < f.size(); ++r) {
+      const std::uint64_t* src = f.witness(r);
+      std::uint64_t* dst = hit_wit_.data() + r * host_wpa_;
+      for (std::size_t w = 0; w < f.wpa(); ++w)
+        for (std::uint64_t bits = src[w]; bits != 0; bits &= bits - 1) {
+          const std::uint32_t b = leaf(v, w * 64 + std::countr_zero(bits));
+          dst[b >> 6] |= std::uint64_t{1} << (b & 63);
+        }
+    }
+    *out = {f.cost.data(), f.damage.data(), f.act.data(), hit_wit_.data(),
+            f.size()};
+    return ViewResult::kHit;
+  }
+
+  void store_soa(NodeId v, const TripleView& f, std::size_t /*nbits*/,
+                 std::vector<AttrTriple>* /*scratch*/) override {
     const std::size_t n_local = count_[v];
     if (n_local < cache_.config_.min_leaves) return;
-    // Host -> local inverse map over this subtree's leaves only; a
-    // witness bit outside the subtree would be a sweep invariant
-    // violation — bail rather than cache a wrong front.
-    constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
-    std::vector<std::uint32_t> local_of(tree_.bas_count(), kAbsent);
-    for (std::size_t i = 0; i < n_local; ++i) local_of[leaf(v, i)] = i;
-    std::vector<AttrTriple> local;
-    local.reserve(front.size());
-    for (const AttrTriple& t : front) {
-      AttrTriple l;
-      l.t = t.t;
-      l.witness = Attack(n_local);
-      for (std::size_t i : t.witness.ones()) {
-        if (local_of[i] == kAbsent) return;
-        l.witness.set(local_of[i]);
-      }
-      local.push_back(std::move(l));
+    // Host -> local through pos_; a witness bit outside the subtree
+    // would be a sweep invariant violation — bail rather than cache a
+    // wrong front.  Columns are sized exactly (bytes charge capacity).
+    SubtreeCache::LocalFront local;
+    local.nbits = n_local;
+    TripleBuf& b = local.buf;
+    b.set_wpa(static_cast<std::uint32_t>((n_local + 63) / 64));
+    b.cost.assign(f.cost, f.cost + f.n);
+    b.damage.assign(f.damage, f.damage + f.n);
+    b.act.assign(f.act, f.act + f.n);
+    b.wit.assign(f.n * b.wpa(), 0);
+    const std::size_t base = offset_[v];
+    for (std::size_t r = 0; r < f.n; ++r) {
+      const std::uint64_t* src = f.wit + r * host_wpa_;
+      std::uint64_t* dst = b.witness(r);
+      for (std::size_t w = 0; w < host_wpa_; ++w)
+        for (std::uint64_t bits = src[w]; bits != 0; bits &= bits - 1) {
+          const std::size_t i =
+              std::size_t{pos_[w * 64 + std::countr_zero(bits)]} - base;
+          if (i >= n_local) return;
+          dst[i >> 6] |= std::uint64_t{1} << (i & 63);
+        }
     }
     cache_.put(key_of(v), sig(v), std::move(local));
   }
@@ -301,8 +340,15 @@ class SubtreeBinding final : public atcd::detail::SubtreeVisitor {
   std::vector<std::size_t> count_;    ///< subtree leaf count
   std::vector<std::size_t> offset_;   ///< start of v's leaves in canon_leaves_
   std::vector<std::uint32_t> canon_leaves_;  ///< flat canonical leaf order
+  std::vector<std::uint32_t> pos_;  ///< inverse: host BAS -> canonical pos
   std::vector<std::vector<NodeId>> order_;   ///< children, canonical order
   std::vector<std::string> sig_;             ///< lazy; "" = not materialized
+  std::size_t host_wpa_;  ///< host witness words per row
+  /// Last hit's entry and its host-space witnesses: lookup_view()'s view
+  /// points into both, valid until the next call.
+  std::shared_ptr<const SubtreeCache::LocalFront> held_;
+  std::vector<std::uint64_t> hit_wit_;
+  TripleBuf aos_in_;  ///< store()'s AoS -> SoA bounce, reused
 };
 
 // ---------------------------------------------------------------------------
@@ -363,11 +409,11 @@ SubtreeCache::Shard& SubtreeCache::shard_of(const Key& key) {
                   shards_.size()];
 }
 
-std::shared_ptr<const std::vector<AttrTriple>> SubtreeCache::find(
+std::shared_ptr<const SubtreeCache::LocalFront> SubtreeCache::find(
     const Key& key, const std::function<const std::string&()>& sig_of) {
   Shard& shard = shard_of(key);
   std::shared_ptr<const std::string> e_sig;
-  std::shared_ptr<const std::vector<AttrTriple>> e_front;
+  std::shared_ptr<const LocalFront> e_front;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.index.find(key);
@@ -397,7 +443,7 @@ std::shared_ptr<const std::vector<AttrTriple>> SubtreeCache::find(
 }
 
 void SubtreeCache::put(const Key& key, const std::string& sig,
-                       std::vector<AttrTriple> front) {
+                       LocalFront front) {
   const std::size_t bytes =
       sizeof(Entry) + sig.size() + front_bytes(front);
   if (bytes > byte_budget_per_shard_) return;  // would evict a whole shard
@@ -418,7 +464,7 @@ void SubtreeCache::put(const Key& key, const std::string& sig,
   }
   shard.lru.push_front(Entry{
       key, std::make_shared<const std::string>(sig),
-      std::make_shared<const std::vector<AttrTriple>>(std::move(front)),
+      std::make_shared<const LocalFront>(std::move(front)),
       bytes});
   shard.index.emplace(key, shard.lru.begin());
   shard.bytes += bytes;
@@ -448,9 +494,13 @@ std::vector<SubtreeCache::ExportedEntry> SubtreeCache::export_entries()
   return out;
 }
 
+std::size_t SubtreeCache::signature_leaves(const std::string& sig) {
+  // Hex digits are lowercase, so 'B' occurs only as the BAS marker.
+  return static_cast<std::size_t>(std::count(sig.begin(), sig.end(), 'B'));
+}
+
 void SubtreeCache::restore_entry(std::uint64_t hash, double budget,
-                                 const std::string& sig,
-                                 std::vector<AttrTriple> front) {
+                                 const std::string& sig, LocalFront front) {
   // Same budget normalization as SubtreeBinding: -0.0 keys as 0.0.
   Key key{hash, double_bits(budget) == double_bits(0.0) ? 0.0 : budget};
   put(key, sig, std::move(front));
@@ -489,8 +539,9 @@ namespace {
 class ChainVisitor final : public atcd::detail::SubtreeVisitor {
  public:
   ChainVisitor(std::unique_ptr<atcd::detail::SubtreeVisitor> a,
-               std::unique_ptr<atcd::detail::SubtreeVisitor> b)
-      : a_(std::move(a)), b_(std::move(b)) {}
+               std::unique_ptr<atcd::detail::SubtreeVisitor> b,
+               std::size_t nbits)
+      : a_(std::move(a)), b_(std::move(b)), nbits_(nbits) {}
 
   bool lookup(NodeId v, std::vector<AttrTriple>* out) override {
     if (a_->lookup(v, out)) return true;
@@ -506,9 +557,9 @@ class ChainVisitor final : public atcd::detail::SubtreeVisitor {
     b_->store(v, front);
   }
 
-  // Fast paths forward so a zero-copy-capable primary (the session memo)
-  // keeps its advantage under a chained shared cache.  Behavior matches
-  // the lookup()/store() pair exactly, promotion included.
+  // Fast paths forward so SoA-capable layers (the session memo, the
+  // shared SubtreeCache) keep their advantage when chained.  Behavior
+  // matches the lookup()/store() pair exactly, promotion included.
 
   const std::vector<AttrTriple>* lookup_ref(
       NodeId v, std::vector<AttrTriple>* scratch) override {
@@ -520,38 +571,63 @@ class ChainVisitor final : public atcd::detail::SubtreeVisitor {
     return nullptr;
   }
 
+  ViewResult lookup_view(NodeId v, TripleView* out) override {
+    // An unsupported primary has counted nothing yet: the caller's
+    // lookup_ref() fallback then runs the whole chain once.
+    const ViewResult ra = a_->lookup_view(v, out);
+    if (ra != ViewResult::kMiss) return ra;
+    switch (b_->lookup_view(v, out)) {
+      case ViewResult::kHit:
+        a_->store_soa(v, *out, nbits_, &aos_);
+        return ViewResult::kHit;
+      case ViewResult::kMiss:
+        return ViewResult::kMiss;
+      case ViewResult::kUnsupported:
+        break;
+    }
+    if (!b_->lookup(v, &aos_)) return ViewResult::kMiss;
+    a_->store(v, aos_);
+    bounce_ = TripleBuf::from_aos(aos_, nbits_);
+    *out = bounce_.view();
+    return ViewResult::kHit;
+  }
+
   void store_soa(NodeId v, const TripleView& f, std::size_t nbits,
                  std::vector<AttrTriple>* scratch) override {
     a_->store_soa(v, f, nbits, scratch);
-    view_to_aos_into(f, nbits, scratch);
-    b_->store(v, *scratch);
+    b_->store_soa(v, f, nbits, scratch);
   }
 
  private:
   std::unique_ptr<atcd::detail::SubtreeVisitor> a_;
   std::unique_ptr<atcd::detail::SubtreeVisitor> b_;
+  std::size_t nbits_;
+  std::vector<AttrTriple> aos_;  ///< AoS fallback scratch
+  TripleBuf bounce_;             ///< view target of an AoS-only fallback
 };
 
 }  // namespace
 
 std::unique_ptr<atcd::detail::SubtreeVisitor> ChainedSubtreeMemo::chain(
     std::unique_ptr<atcd::detail::SubtreeVisitor> a,
-    std::unique_ptr<atcd::detail::SubtreeVisitor> b) {
+    std::unique_ptr<atcd::detail::SubtreeVisitor> b, std::size_t nbits) {
   if (!a) return b;
   if (!b) return a;
-  return std::make_unique<ChainVisitor>(std::move(a), std::move(b));
+  return std::make_unique<ChainVisitor>(std::move(a), std::move(b), nbits);
 }
 
 std::unique_ptr<atcd::detail::SubtreeVisitor> ChainedSubtreeMemo::bind(
     const CdAt& m, double budget) {
   return chain(primary_ ? primary_->bind(m, budget) : nullptr,
-               fallback_ ? fallback_->bind(m, budget) : nullptr);
+               fallback_ ? fallback_->bind(m, budget) : nullptr,
+               m.tree.bas_count());
 }
 
 std::unique_ptr<atcd::detail::SubtreeVisitor> ChainedSubtreeMemo::bind(
     const CdpAt& m, double budget) {
   return chain(primary_ ? primary_->bind(m, budget) : nullptr,
-               fallback_ ? fallback_->bind(m, budget) : nullptr);
+               fallback_ ? fallback_->bind(m, budget) : nullptr,
+               m.tree.bas_count());
 }
 
 }  // namespace atcd::service

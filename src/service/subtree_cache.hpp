@@ -31,6 +31,23 @@
 /// each other, so a translated witness evaluates to exactly the cached
 /// (cost, damage, activation) values in its new host.
 ///
+/// Storage.  An entry holds its front in SoA form (pareto/front_soa.hpp):
+/// cost / damage / activation columns plus one flat witness-word array,
+/// ceil(leaves / 64) words per row — the layout the arena sweep and the
+/// session memo already use, so a store or a hit never materializes
+/// per-point AttrTriples.  Each binding keeps two tables over the
+/// host's leaves: canon_leaves_ (canonical position -> host BAS, every
+/// subtree a contiguous range of it) and its inverse pos_ (host BAS ->
+/// canonical position).  A store remaps host -> local as
+/// `pos_[bit] - offset_[v]`, a hit remaps local -> host through the
+/// range, both visiting set bits word by word with countr_zero.  The
+/// AoS lookup()/store() pair is a thin adapter over the same paths.
+///
+/// Bytes.  An entry is charged sizeof(Entry) + the signature length +
+/// the capacity of its four columns (three doubles and ceil(leaves / 64)
+/// witness words per row).  Stores and snapshot restores reserve columns
+/// exactly, so the same front is charged the same bytes on every path.
+///
 /// Unlike ResultCache, entries retain only the signature string and the
 /// local fronts — never the model — so enabling both caches on one
 /// BatchOptions counts every byte exactly once (each cache accounts its
@@ -47,6 +64,7 @@
 
 #include "engine/batch.hpp"
 #include "obs/metrics.hpp"
+#include "pareto/front_soa.hpp"
 
 namespace atcd::service {
 
@@ -134,6 +152,19 @@ class SubtreeCache final : public engine::SubtreeMemo {
 
   std::size_t shard_count() const { return shards_.size(); }
 
+  /// A subtree front in the canonical local leaf space: parallel
+  /// columns, each witness `nbits` wide (buf.wpa() = ceil(nbits / 64)
+  /// words per row), nbits being the subtree's leaf count.
+  struct LocalFront {
+    TripleBuf buf;
+    std::size_t nbits = 0;
+  };
+
+  /// Leaf count of the subtree a canonical signature describes (its
+  /// number of `B` tokens) — the witness width every entry under that
+  /// signature must have.
+  static std::size_t signature_leaves(const std::string& sig);
+
   /// One resident entry in snapshot form (src/persist/): the key
   /// components, the full canonical signature, and the local-space
   /// front.  Byte bookkeeping is not exported — restore recomputes it.
@@ -141,7 +172,7 @@ class SubtreeCache final : public engine::SubtreeMemo {
     std::uint64_t hash = 0;
     double budget = 0.0;
     std::shared_ptr<const std::string> sig;
-    std::shared_ptr<const std::vector<AttrTriple>> front;
+    std::shared_ptr<const LocalFront> front;
   };
 
   /// Every resident entry, shard by shard, least-recently-used first
@@ -153,8 +184,11 @@ class SubtreeCache final : public engine::SubtreeMemo {
   /// Re-inserts one exported entry through the normal put() path: the
   /// entry lands at MRU of its shard, budgets are enforced (over-budget
   /// loads evict in LRU order), and bytes are recomputed from scratch.
+  /// Precondition: front.nbits == signature_leaves(sig) and no witness
+  /// bit at or above it is set (a hit indexes the host's leaf table by
+  /// those bits); the snapshot decoder rejects images that break it.
   void restore_entry(std::uint64_t hash, double budget,
-                     const std::string& sig, std::vector<AttrTriple> front);
+                     const std::string& sig, LocalFront front);
 
  private:
   friend class SubtreeBinding;
@@ -175,8 +209,8 @@ class SubtreeCache final : public engine::SubtreeMemo {
     /// shard lock even if the entry is evicted concurrently.
     std::shared_ptr<const std::string> sig;
     /// The subtree's pruned front; witnesses over the canonical local
-    /// leaf space (size = subtree leaf count).
-    std::shared_ptr<const std::vector<AttrTriple>> front;
+    /// leaf space (width = subtree leaf count).
+    std::shared_ptr<const LocalFront> front;
     std::size_t bytes = 0;
   };
 
@@ -193,14 +227,13 @@ class SubtreeCache final : public engine::SubtreeMemo {
   /// deep check passes; counts hit/miss/collision.  \p sig_of is invoked
   /// only when the key is present — signature materialization is lazy,
   /// which is what keeps warm re-solves cheap.
-  std::shared_ptr<const std::vector<AttrTriple>> find(
+  std::shared_ptr<const LocalFront> find(
       const Key& key, const std::function<const std::string&()>& sig_of);
 
   /// Inserts a front (local witness space); keeps the incumbent on an
   /// equal-key entry (refreshing recency when the signature matches,
   /// counting a collision otherwise).
-  void put(const Key& key, const std::string& sig,
-           std::vector<AttrTriple> front);
+  void put(const Key& key, const std::string& sig, LocalFront front);
 
   /// Drops LRU-tail entries until the shard is within both budgets.
   /// Caller holds the shard lock.
@@ -237,9 +270,10 @@ class ChainedSubtreeMemo final : public engine::SubtreeMemo {
                                                      double budget) override;
 
  private:
+  /// \p nbits: the bound model's BAS count (the host witness width).
   std::unique_ptr<atcd::detail::SubtreeVisitor> chain(
       std::unique_ptr<atcd::detail::SubtreeVisitor> a,
-      std::unique_ptr<atcd::detail::SubtreeVisitor> b);
+      std::unique_ptr<atcd::detail::SubtreeVisitor> b, std::size_t nbits);
 
   engine::SubtreeMemo* primary_;
   engine::SubtreeMemo* fallback_;

@@ -40,8 +40,10 @@ std::string DynBitset::to_string() const {
 
 std::vector<std::size_t> DynBitset::ones() const {
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < nbits_; ++i)
-    if (test(i)) out.push_back(i);
+  out.reserve(count());
+  for (std::size_t w = 0; w < words_.size(); ++w)
+    for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+      out.push_back(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
   return out;
 }
 

@@ -24,6 +24,13 @@ class ModelError : public Error {
   explicit ModelError(const std::string& what) : Error(what) {}
 };
 
+/// A problem argument is outside its domain, e.g. a NaN budget or
+/// threshold (engine::instance_error() names the same cases).
+class ArgumentError : public Error {
+ public:
+  explicit ArgumentError(const std::string& what) : Error(what) {}
+};
+
 /// An algorithm received a model outside its supported class, e.g. the
 /// treelike bottom-up engine applied to a DAG-shaped tree.
 class UnsupportedError : public Error {

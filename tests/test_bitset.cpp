@@ -54,6 +54,18 @@ TEST(DynBitset, UnionIntersectionDifference) {
   EXPECT_EQ(c.ones(), (std::vector<std::size_t>{1}));
 }
 
+TEST(DynBitset, OnesMatchesBitByBitScanAcrossWords) {
+  DynBitset b(200);
+  for (const std::size_t i : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 150u, 199u})
+    b.set(i);
+  std::vector<std::size_t> expect;
+  for (std::size_t i = 0; i < b.size(); ++i)
+    if (b.test(i)) expect.push_back(i);
+  EXPECT_EQ(b.ones(), expect);
+  EXPECT_TRUE(DynBitset(130).ones().empty());
+  EXPECT_TRUE(DynBitset().ones().empty());
+}
+
 TEST(DynBitset, FromMaskMatchesBitPattern) {
   const auto b = DynBitset::from_mask(10, 0b1010110101);
   EXPECT_EQ(b.to_string(), "1010110101");

@@ -6,14 +6,17 @@
 /// partially populated cache), atomic write-to-temp-then-rename saves,
 /// and budget enforcement on load (an over-budget image evicts its
 /// least-recent entries instead of talking the cache out of its
-/// configured limits).
+/// configured limits), and rejection of CRC-valid images whose subtree
+/// witnesses are not exactly as wide as their subtree has leaves.
 
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdlib>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -353,15 +356,118 @@ TEST(Persist, RestoredByteAccountingMatchesSource) {
             LoadStatus::Ok);
   EXPECT_EQ(dst.cache().stats().bytes, src.cache().stats().bytes);
   EXPECT_EQ(dst.cache().stats().entries, src.cache().stats().entries);
-  // Subtree fronts charge vector capacity; the decoder reserves
-  // exactly, so a restored cache can only be tighter than the source
-  // (whose fronts carry push_back growth slack).
-  EXPECT_LE(dst.subtree_cache().stats().bytes,
+  // Subtree fronts charge column capacity; stores and the decoder both
+  // size columns exactly, so the restored cache charges the same bytes.
+  EXPECT_EQ(dst.subtree_cache().stats().bytes,
             src.subtree_cache().stats().bytes);
   EXPECT_GT(dst.subtree_cache().stats().bytes, 0u);
   EXPECT_EQ(dst.subtree_cache().stats().entries,
             src.subtree_cache().stats().entries);
   EXPECT_GT(dst.cache().stats().bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Witness widths: a CRC-valid image must still describe well-formed fronts.
+// ---------------------------------------------------------------------------
+
+void append_u32(std::string* out, std::uint32_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+void append_u64(std::string* out, std::uint64_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+void append_f64(std::string* out, double v) {
+  append_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+/// A v1 image whose subtree section is built by hand, with a correct
+/// CRC, from \p entries; header and (empty) result section come from a
+/// real image of empty caches.  Point r of entry e gets a witness
+/// \p width(e, r, leaves) bits wide: its real words, zero-extended, plus
+/// the first bit past the subtree's leaves when the width exceeds them.
+std::string hand_built_image(
+    const std::vector<SubtreeCache::ExportedEntry>& entries,
+    const std::function<std::size_t(std::size_t, std::size_t, std::size_t)>&
+        width) {
+  std::string payload;
+  append_u64(&payload, entries.size());
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    const auto& entry = entries[e];
+    const TripleBuf& f = entry.front->buf;
+    const std::size_t leaves = entry.front->nbits;
+    append_u64(&payload, entry.hash);
+    append_f64(&payload, entry.budget);
+    append_u64(&payload, entry.sig->size());
+    payload += *entry.sig;
+    append_u64(&payload, f.size());
+    for (std::size_t r = 0; r < f.size(); ++r) {
+      append_f64(&payload, f.cost[r]);
+      append_f64(&payload, f.damage[r]);
+      append_f64(&payload, f.act[r]);
+      const std::size_t nbits = width(e, r, leaves);
+      std::vector<std::uint64_t> words((nbits + 63) / 64, 0);
+      for (std::size_t k = 0; k < f.wpa() && k < words.size(); ++k)
+        words[k] = f.witness(r)[k];
+      if (nbits > leaves)
+        words[leaves / 64] |= std::uint64_t{1} << (leaves % 64);
+      append_u64(&payload, nbits);
+      for (const std::uint64_t w : words) append_u64(&payload, w);
+    }
+  }
+  // The empty image ends with the subtree section: tag, size, CRC and
+  // an 8-byte entry count.
+  std::string image =
+      persist::encode_snapshot(ResultCache{}, SubtreeCache{});
+  image.resize(image.size() - (16 + 8));
+  image += "SC01";
+  append_u64(&image, payload.size());
+  append_u32(&image, persist::crc32(payload.data(), payload.size()));
+  return image + payload;
+}
+
+TEST(Persist, SubtreeWitnessWiderThanItsSubtreeIsCorrupt) {
+  SolveService src(single_shard_options());
+  fill(src, 4);
+  const auto entries = src.subtree_cache().export_entries();
+  ASSERT_GE(entries.size(), 2u);
+
+  // Control: the hand encoder reproduces the real image byte for byte,
+  // and that image restores every entry.
+  const auto exact = [](std::size_t, std::size_t, std::size_t leaves) {
+    return leaves;
+  };
+  const std::string good = hand_built_image(entries, exact);
+  EXPECT_EQ(good,
+            persist::encode_snapshot(ResultCache{}, src.subtree_cache()));
+  {
+    SubtreeCache sc;
+    ASSERT_EQ(persist::decode_snapshot(good, nullptr, &sc), LoadStatus::Ok);
+    EXPECT_EQ(sc.stats().entries, entries.size());
+  }
+
+  // One witness 64 bits too wide, with a bit set past the leaves: a hit
+  // would index the host's leaf table out of range.
+  const std::string wide = hand_built_image(
+      entries, [](std::size_t e, std::size_t r, std::size_t leaves) {
+        return e == 0 && r == 0 ? leaves + 64 : leaves;
+      });
+  expect_rejected(wide);
+  ResultCache rc;
+  SubtreeCache sc;
+  std::string err;
+  EXPECT_EQ(persist::decode_snapshot(wide, &rc, &sc, nullptr, &err),
+            LoadStatus::Corrupt);
+  EXPECT_NE(err.find("leaf count"), std::string::npos) << err;
+
+  // Mixed widths inside one front: only the last point of the last
+  // entry is one bit wider.  Nothing is restored, not even the entries
+  // decoded before it.
+  const std::size_t last = entries.size() - 1;
+  const std::size_t last_row = entries[last].front->buf.size() - 1;
+  expect_rejected(hand_built_image(
+      entries, [&](std::size_t e, std::size_t r, std::size_t leaves) {
+        return e == last && r == last_row ? leaves + 1 : leaves;
+      }));
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "casestudies/dataserver.hpp"
 #include "casestudies/factory.hpp"
+#include "engine/batch.hpp"
 #include "engine/registry.hpp"
 #include "helpers.hpp"
 
@@ -50,6 +53,46 @@ TEST(Problems, AllSixProblemsRunOnTheFactory) {
   EXPECT_GT(cedpf(mp).size(), 1u);
   EXPECT_GT(edgc(mp, 3.0).damage, 0.0);
   EXPECT_TRUE(cged(mp, 1.0).feasible);
+}
+
+/// A NaN bound is rejected before any backend sees it — under every
+/// engine alike, with the batch path's instance_error() text — rather
+/// than read as "no limit", "infeasible" or an LP failure depending on
+/// which engine runs.
+TEST(Problems, NanBoundIsRejectedUnderEveryEngine) {
+  const auto m = casestudies::make_factory();
+  const auto mp = casestudies::make_factory_probabilistic();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [](const auto& call, const std::string& text) {
+    try {
+      call();
+      ADD_FAILURE() << "NaN bound accepted";
+    } catch (const ArgumentError& e) {
+      EXPECT_EQ(e.what(), text);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "wrong exception: " << e.what();
+    }
+  };
+  using engine::Instance;
+  using engine::Problem;
+  for (const Engine e : {Engine::Auto, Engine::Enumerative, Engine::BottomUp,
+                         Engine::Bilp, Engine::Bdd, Engine::Nsga2,
+                         Engine::Knapsack}) {
+    SCOPED_TRACE(to_string(e));
+    expect_rejected([&] { dgc(m, nan, e); },
+                    engine::instance_error(Instance::of(Problem::Dgc, m, nan)));
+    expect_rejected([&] { cgd(m, nan, e); },
+                    engine::instance_error(Instance::of(Problem::Cgd, m, nan)));
+    expect_rejected(
+        [&] { edgc(mp, nan, e); },
+        engine::instance_error(Instance::of(Problem::Edgc, mp, nan)));
+    expect_rejected(
+        [&] { cged(mp, nan, e); },
+        engine::instance_error(Instance::of(Problem::Cged, mp, nan)));
+  }
+  // +inf stays a valid "no limit".
+  EXPECT_DOUBLE_EQ(
+      dgc(m, std::numeric_limits<double>::infinity()).damage, 310.0);
 }
 
 TEST(Problems, EngineNames) {

@@ -1,15 +1,22 @@
 /// Tests for service/subtree_cache.hpp: cross-model subtree reuse,
-/// budget keying, LRU/byte budgets, and the byte-accounting independence
+/// budget keying, LRU/byte budgets, the byte-accounting independence
 /// of the subtree cache and the whole-model result cache when both are
-/// enabled on one BatchOptions.
+/// enabled on one BatchOptions, equivalence of the AoS (pointer sweep)
+/// and SoA (arena sweep) visitor paths on multi-word witnesses, and a
+/// pinned snapshot image of a fixed solve set.
 
 #include "service/subtree_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <numeric>
+
 #include "at/parser.hpp"
+#include "core/bottom_up_core.hpp"
 #include "core/enumerative.hpp"
 #include "helpers.hpp"
+#include "persist/snapshot.hpp"
 #include "service/cache.hpp"
 #include "util/rng.hpp"
 
@@ -278,6 +285,374 @@ TEST(SubtreeCache, MemoizedEqualsUnmemoized) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-word witnesses: hosts with > 64 BAS sharing a > 64-leaf subtree.
+// ---------------------------------------------------------------------------
+
+/// A treelike host OR(shared, rest) with zero root damage.  `shared` is
+/// one fixed decorated subtree over \p shared leaves (the same in every
+/// host); `rest` groups \p extra further leaves in a shape drawn from
+/// \p host_seed, and BAS indices are handed out in an order shuffled by
+/// \p host_seed — so two hosts share an isomorphic subtree whose leaves
+/// sit at different host indices, spread over several witness words.
+/// *shared_root receives the shared subtree's root.
+CdAt wide_host(std::uint64_t host_seed, NodeId* shared_root = nullptr,
+               std::size_t shared = 70, std::size_t extra = 60) {
+  const std::size_t n = shared + extra;
+  Rng host_rng(host_seed);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = n; i > 1; --i)
+    std::swap(order[i - 1], order[host_rng.below(i)]);
+  AttackTree t;
+  std::vector<NodeId> leaf(n);
+  for (std::size_t k : order) leaf[k] = t.add_bas("l" + std::to_string(k));
+
+  // Decorations depend on leaf labels and gate creation order only, so
+  // the shared subtree is decorated identically in every host.
+  std::vector<std::pair<NodeId, double>> gate_damage;
+  int g = 0;
+  const auto group = [&](Rng& rng, std::size_t lo, std::size_t hi) {
+    std::vector<NodeId> open(leaf.begin() + static_cast<std::ptrdiff_t>(lo),
+                             leaf.begin() + static_cast<std::ptrdiff_t>(hi));
+    while (open.size() > 1) {
+      const std::size_t arity =
+          std::min<std::size_t>(open.size(), 2 + rng.below(2));
+      std::vector<NodeId> cs;
+      for (std::size_t i = 0; i < arity; ++i) {
+        const std::size_t pick = rng.below(open.size());
+        cs.push_back(open[pick]);
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+      const NodeId gate =
+          t.add_gate(rng.chance(0.5) ? NodeType::OR : NodeType::AND,
+                     "g" + std::to_string(g), cs);
+      gate_damage.emplace_back(gate, (g % 4 == 0) ? 5.0 : 0.0);
+      ++g;
+      open.push_back(gate);
+    }
+    return open[0];
+  };
+  Rng shape(424242);
+  const NodeId s = group(shape, 0, shared);
+  const NodeId r = group(host_rng, shared, n);
+  t.set_root(t.add_gate(NodeType::OR, "root", {s, r}));
+  t.finalize();
+  if (shared_root) *shared_root = s;
+
+  CdAt m;
+  m.cost.assign(n, 0.0);
+  m.damage.assign(t.node_count(), 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    m.cost[t.bas_index(leaf[k])] = 1.0 + static_cast<double>(k % 3);
+    m.damage[leaf[k]] = 1.0 + static_cast<double>((k * 7) % 10);
+  }
+  for (const auto& [gate, d] : gate_damage) m.damage[gate] = d;
+  m.tree = std::move(t);
+  return m;
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+bool triples_identical(const std::vector<AttrTriple>& a,
+                       const std::vector<AttrTriple>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (bits_of(a[i].t.cost) != bits_of(b[i].t.cost) ||
+        bits_of(a[i].t.damage) != bits_of(b[i].t.damage) ||
+        bits_of(a[i].t.act) != bits_of(b[i].t.act) ||
+        !(a[i].witness == b[i].witness))
+      return false;
+  return true;
+}
+
+struct SweepRun {
+  std::vector<std::vector<AttrTriple>> fronts;
+  SubtreeCache::Stats stats;
+  std::vector<SubtreeCache::ExportedEntry> entries;
+};
+
+/// Sweeps every model through one fresh cache, on the pointer sweep
+/// (AoS lookup()/store()) or the arena sweep (lookup_view()/store_soa()).
+SweepRun sweep_all(const std::vector<CdAt>& models, double budget,
+                   bool pointer_path) {
+  SubtreeCache::Config cfg;
+  cfg.shards = 2;
+  SubtreeCache cache(cfg);
+  SweepRun run;
+  for (const CdAt& m : models) {
+    const std::vector<double> ones(m.tree.bas_count(), 1.0);
+    const auto visitor = cache.bind(m.tree, m.cost, m.damage, nullptr, budget);
+    detail::BottomUpOptions opt;
+    opt.budget = budget;
+    opt.pointer_path = pointer_path;
+    opt.visitor = visitor.get();
+    run.fronts.push_back(
+        detail::bottom_up_root_front(m.tree, m.cost, m.damage, ones, opt));
+  }
+  run.stats = cache.stats();
+  run.entries = cache.export_entries();
+  return run;
+}
+
+TEST(SubtreeCache, SoaAndAosPathsStoreAndServeIdentically) {
+  std::vector<CdAt> models;
+  for (const std::uint64_t seed : {1u, 2u, 1u, 3u})
+    models.push_back(wide_host(seed));
+  ASSERT_GT(models[0].tree.bas_count(), 128u);  // three host words
+
+  const double budget = 24.0;
+  const SweepRun aos = sweep_all(models, budget, /*pointer_path=*/true);
+  const SweepRun soa = sweep_all(models, budget, /*pointer_path=*/false);
+
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    EXPECT_TRUE(triples_identical(aos.fronts[i], soa.fronts[i])) << i;
+    // Memoization never changes a front's values, and every remapped
+    // witness evaluates to its point (among value-equal attacks a
+    // memoized subtree may keep a different, isomorphic witness).
+    const CdAt& m = models[i];
+    const std::vector<double> ones(m.tree.bas_count(), 1.0);
+    detail::BottomUpOptions plain;
+    plain.budget = budget;
+    const auto ref =
+        detail::bottom_up_root_front(m.tree, m.cost, m.damage, ones, plain);
+    ASSERT_EQ(soa.fronts[i].size(), ref.size()) << i;
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      const AttrTriple& p = soa.fronts[i][k];
+      EXPECT_EQ(bits_of(p.t.cost), bits_of(ref[k].t.cost));
+      EXPECT_EQ(bits_of(p.t.damage), bits_of(ref[k].t.damage));
+      EXPECT_EQ(bits_of(p.t.act), bits_of(ref[k].t.act));
+      EXPECT_DOUBLE_EQ(total_cost(m, p.witness), p.t.cost);
+      EXPECT_DOUBLE_EQ(total_damage(m, p.witness), p.t.damage);
+    }
+  }
+
+  // The repeated host and the shared subtree hit on both paths.
+  EXPECT_GE(soa.stats.hits, 2u);
+  EXPECT_EQ(aos.stats.hits, soa.stats.hits);
+  EXPECT_EQ(aos.stats.misses, soa.stats.misses);
+  EXPECT_EQ(aos.stats.insertions, soa.stats.insertions);
+  EXPECT_EQ(aos.stats.evictions, soa.stats.evictions);
+  EXPECT_EQ(aos.stats.collisions, soa.stats.collisions);
+  EXPECT_EQ(aos.stats.entries, soa.stats.entries);
+  EXPECT_EQ(aos.stats.bytes, soa.stats.bytes);
+
+  ASSERT_EQ(aos.entries.size(), soa.entries.size());
+  bool saw_wide_entry = false;
+  for (std::size_t i = 0; i < aos.entries.size(); ++i) {
+    const auto& a = aos.entries[i];
+    const auto& b = soa.entries[i];
+    EXPECT_EQ(a.hash, b.hash);
+    EXPECT_EQ(bits_of(a.budget), bits_of(b.budget));
+    EXPECT_EQ(*a.sig, *b.sig);
+    EXPECT_EQ(a.front->nbits, b.front->nbits);
+    EXPECT_EQ(a.front->nbits, SubtreeCache::signature_leaves(*a.sig));
+    EXPECT_EQ(a.front->buf.wpa(), b.front->buf.wpa());
+    EXPECT_EQ(a.front->buf.cost, b.front->buf.cost);
+    EXPECT_EQ(a.front->buf.damage, b.front->buf.damage);
+    EXPECT_EQ(a.front->buf.act, b.front->buf.act);
+    EXPECT_EQ(a.front->buf.wit, b.front->buf.wit);
+    saw_wide_entry |= a.front->nbits > 64;
+  }
+  EXPECT_TRUE(saw_wide_entry);  // local witnesses span several words too
+}
+
+TEST(SubtreeCache, CrossModelHitOnWideSubtreeRemapsWitnesses) {
+  NodeId shared2 = 0;
+  const CdAt h1 = wide_host(11);
+  const CdAt h2 = wide_host(12, &shared2);
+  // The shared leaves carry different host BAS indices in the two hosts.
+  const auto shared_indices = [](const CdAt& h) {
+    std::vector<std::uint32_t> idx;
+    for (int k = 0; k < 70; ++k)
+      idx.push_back(h.tree.bas_index(*h.tree.find("l" + std::to_string(k))));
+    return idx;
+  };
+  ASSERT_NE(shared_indices(h1), shared_indices(h2));
+
+  SubtreeCache cache;
+  BatchOptions opt;
+  opt.subtree = &cache;
+  const double budget = 30.0;
+  const auto r1 =
+      engine::solve_one(Instance::of(Problem::Dgc, h1, budget), opt);
+  ASSERT_TRUE(r1.ok) << r1.error;
+
+  // The shared 70-leaf subtree's front, looked up in the second host's
+  // BAS numbering: a hit whose every witness evaluates to its point.
+  {
+    const auto visitor = cache.bind(h2, budget);
+    ASSERT_NE(visitor, nullptr);
+    std::vector<AttrTriple> front;
+    ASSERT_TRUE(visitor->lookup(shared2, &front));
+    ASSERT_FALSE(front.empty());
+    for (const AttrTriple& p : front) {
+      ASSERT_EQ(p.witness.size(), h2.tree.bas_count());
+      EXPECT_DOUBLE_EQ(total_cost(h2, p.witness), p.t.cost);
+      EXPECT_DOUBLE_EQ(total_damage(h2, p.witness), p.t.damage);
+    }
+  }
+
+  const auto before = cache.stats();
+  const auto r2 =
+      engine::solve_one(Instance::of(Problem::Dgc, h2, budget), opt);
+  ASSERT_TRUE(r2.ok) << r2.error;
+  EXPECT_GT(cache.stats().hits, before.hits);
+  const auto plain =
+      engine::solve_one(Instance::of(Problem::Dgc, h2, budget), {});
+  ASSERT_TRUE(plain.ok) << plain.error;
+  EXPECT_EQ(r2.attack.feasible, plain.attack.feasible);
+  EXPECT_DOUBLE_EQ(r2.attack.cost, plain.attack.cost);
+  EXPECT_DOUBLE_EQ(r2.attack.damage, plain.attack.damage);
+  EXPECT_DOUBLE_EQ(total_cost(h2, r2.attack.witness), r2.attack.cost);
+  EXPECT_DOUBLE_EQ(total_damage(h2, r2.attack.witness), r2.attack.damage);
+
+  // The whole front, end to end.
+  const auto f2 = engine::solve_one(Instance::of(Problem::Cdpf, h2), opt);
+  ASSERT_TRUE(f2.ok) << f2.error;
+  EXPECT_TRUE(fronts_equal(
+      f2.front, engine::solve_one(Instance::of(Problem::Cdpf, h2), {}).front));
+  for (const auto& p : f2.front) {
+    EXPECT_DOUBLE_EQ(total_cost(h2, p.witness), p.value.cost);
+    EXPECT_DOUBLE_EQ(total_damage(h2, p.witness), p.value.damage);
+  }
+}
+
+/// A memo layer that speaks only the AoS lookup()/store() protocol,
+/// forwarding to a SubtreeCache — the shape of a user-supplied memo.
+class AosOnlyMemo final : public engine::SubtreeMemo {
+ public:
+  explicit AosOnlyMemo(SubtreeCache* inner) : inner_(inner) {}
+  std::unique_ptr<detail::SubtreeVisitor> bind(const CdAt& m,
+                                               double budget) override {
+    return wrap(inner_->bind(m, budget));
+  }
+  std::unique_ptr<detail::SubtreeVisitor> bind(const CdpAt& m,
+                                               double budget) override {
+    return wrap(inner_->bind(m, budget));
+  }
+
+ private:
+  struct Visitor final : detail::SubtreeVisitor {
+    std::unique_ptr<detail::SubtreeVisitor> inner;
+    bool lookup(NodeId v, std::vector<AttrTriple>* out) override {
+      return inner->lookup(v, out);
+    }
+    void store(NodeId v, const std::vector<AttrTriple>& front) override {
+      inner->store(v, front);
+    }
+  };
+  static std::unique_ptr<detail::SubtreeVisitor> wrap(
+      std::unique_ptr<detail::SubtreeVisitor> inner) {
+    if (!inner) return nullptr;
+    auto v = std::make_unique<Visitor>();
+    v->inner = std::move(inner);
+    return v;
+  }
+  SubtreeCache* inner_;
+};
+
+/// A chain whose layers speak SoA serves and counts exactly like one
+/// where either layer speaks only AoS: the arena sweep's lookup_view()
+/// and store_soa() on the chain fall back per layer, promotion included.
+TEST(SubtreeCache, ChainedMemoMatchesAcrossLayerProtocols) {
+  std::vector<CdAt> models;
+  for (const std::uint64_t seed : {31u, 32u, 31u})
+    models.push_back(wide_host(seed));
+  Rng rng(77);
+  for (int i = 0; i < 6; ++i)
+    models.push_back(testing::random_cdat(rng, 12, /*treelike=*/true));
+
+  struct Layers {
+    SubtreeCache primary, fallback;
+  };
+  const auto run = [&](Layers& l, bool aos_primary, bool aos_fallback) {
+    AosOnlyMemo p_aos(&l.primary), f_aos(&l.fallback);
+    service::ChainedSubtreeMemo chain(
+        aos_primary ? static_cast<engine::SubtreeMemo*>(&p_aos) : &l.primary,
+        aos_fallback ? static_cast<engine::SubtreeMemo*>(&f_aos)
+                     : &l.fallback);
+    std::vector<std::vector<AttrTriple>> fronts;
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      const CdAt& m = models[i];
+      // Clearing the primary before the repeated host forces its hits
+      // through the fallback and the promotion path.
+      if (i == 2) l.primary.clear();
+      const auto visitor = chain.bind(m, 24.0);
+      const std::vector<double> ones(m.tree.bas_count(), 1.0);
+      detail::BottomUpOptions opt;
+      opt.budget = 24.0;
+      opt.visitor = visitor.get();
+      fronts.push_back(
+          detail::bottom_up_root_front(m.tree, m.cost, m.damage, ones, opt));
+    }
+    return fronts;
+  };
+  const auto same_stats = [](const SubtreeCache::Stats& a,
+                             const SubtreeCache::Stats& b) {
+    return a.hits == b.hits && a.misses == b.misses &&
+           a.insertions == b.insertions && a.entries == b.entries &&
+           a.bytes == b.bytes;
+  };
+
+  Layers ref;
+  const auto expect = run(ref, false, false);
+  EXPECT_GT(ref.fallback.stats().hits, 0u);
+  EXPECT_GT(ref.primary.stats().insertions, 0u);
+  for (const auto [aos_primary, aos_fallback] :
+       {std::pair{true, false}, std::pair{false, true},
+        std::pair{true, true}}) {
+    SCOPED_TRACE(::testing::Message() << "aos primary " << aos_primary
+                                      << ", aos fallback " << aos_fallback);
+    Layers l;
+    const auto got = run(l, aos_primary, aos_fallback);
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_TRUE(triples_identical(got[i], expect[i])) << i;
+    EXPECT_TRUE(same_stats(l.primary.stats(), ref.primary.stats()));
+    EXPECT_TRUE(same_stats(l.fallback.stats(), ref.fallback.stats()));
+  }
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The snapshot image of a fixed solve set is pinned byte for byte: the
+/// cache's entry layout may change, the exported format (v1) may not.
+TEST(SubtreeCache, SnapshotImageOfFixedSolveSetIsPinned) {
+  SubtreeCache::Config cfg;
+  cfg.shards = 2;
+  SubtreeCache cache(cfg);
+  BatchOptions opt;
+  opt.subtree = &cache;
+  ASSERT_TRUE(
+      engine::solve_one(Instance::of(Problem::Dgc, wide_host(21), 20.0), opt)
+          .ok);
+  ASSERT_TRUE(
+      engine::solve_one(Instance::of(Problem::Dgc, wide_host(22), 20.0), opt)
+          .ok);
+  Rng rng(5);
+  for (int i = 0; i < 4; ++i) {
+    const CdpAt mp = testing::random_cdpat(rng, 10, /*treelike=*/true);
+    ASSERT_TRUE(engine::solve_one(Instance::of(Problem::Cedpf, mp), opt).ok);
+    ASSERT_TRUE(
+        engine::solve_one(Instance::of(Problem::Cdpf, mp.deterministic()), opt)
+            .ok);
+  }
+  const ResultCache no_results;
+  persist::SnapshotInfo info;
+  const std::string image = persist::encode_snapshot(no_results, cache, &info);
+  EXPECT_EQ(info.subtree_entries, cache.stats().entries);
+  EXPECT_EQ(info.bytes, 208221u);
+  EXPECT_EQ(fnv1a(image), 17242969693555542931ull);
 }
 
 }  // namespace
